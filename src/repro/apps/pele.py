@@ -32,10 +32,9 @@ from repro.amr.ghost import (
     synchronous_step_time,
 )
 from repro.backend import ArrayBackend, resolve_backend
-from repro.chem.codegen import compile_batched_kernels
-from repro.chem.fused import rate_tables
+from repro.chem.fused import fused_jacobian, rate_tables
 from repro.chem.kinetics import (
-    chemistry_rhs,
+    chemistry_rhs,  # noqa: F401 - re-exported for per-cell scipy oracles
     jacobian_flop_count,
     rates_flop_count,
 )
@@ -44,7 +43,7 @@ from repro.chem.mechanism import (
     drm19_like_mechanism,
     h2_o2_mechanism,
 )
-from repro.ode import BatchedBdfIntegrator, BdfIntegrator
+from repro.ode import BatchedBdfIntegrator
 from repro.resilience.abft import SdcDetected, require_finite
 from repro.resilience.elastic import DomainSpec
 from repro.resilience.snapshot import Snapshot, require_kind
@@ -113,23 +112,27 @@ def chemistry_field(cfg: PeleConfig = PeleConfig(), ncells: int = 64, *,
     return T, C0
 
 
-def _fused_chemistry_rhs(mech: Mechanism, T: np.ndarray,
-                         backend: ArrayBackend):
-    """Batched RHS closure on the backend's fused rates kernel.
+def _fused_chemistry(mech: Mechanism, T: np.ndarray, backend: ArrayBackend):
+    """Batched ``(rhs, jac)`` closures on the fused rates tables.
 
     The Arrhenius constants depend only on T — a parameter of the
     integration, not part of the state — so ``kf``/``kr`` are computed
-    once here and every RHS sweep is just gathers, multiplies and one
+    once here.  Every RHS sweep is then just gathers, multiplies and one
     GEMM against the net stoichiometry matrix (~6 whole-batch ops vs the
-    generated kernel's ~700 tiny per-reaction ones).
+    generated kernel's ~700 tiny per-reaction ones), and every Jacobian
+    build the product-rule gathers plus one ``net.T @ dq`` contraction.
     """
-    kernel = backend.rates_kernel(rate_tables(mech))
+    tables = rate_tables(mech)
+    kernel = backend.rates_kernel(tables)
     kf, kr = kernel.rate_constants(np.asarray(T, dtype=float))
 
     def rhs(t, conc):
         return kernel.wdot(kf, kr, np.maximum(conc, 0.0))
 
-    return rhs
+    def jac(t, conc):
+        return fused_jacobian(tables, kf, kr, np.maximum(conc, 0.0))
+
+    return rhs, jac
 
 
 def integrate_chemistry_batched(cfg: PeleConfig, T: np.ndarray,
@@ -138,17 +141,12 @@ def integrate_chemistry_batched(cfg: PeleConfig, T: np.ndarray,
                                 backend: "str | ArrayBackend | None" = None):
     """Advance every cell's chemistry at once (the cvode-batched lever).
 
-    Backend-dispatched fused rates + generated analytic batched Jacobian
-    + batched Newton with factor reuse — the reproduction of the
-    CVODE+MAGMA path Figure 2's 'cvode-batched' code state names.
+    Backend-dispatched fused rates + fused analytic batched Jacobian +
+    variable-order batched BDF with factor reuse — the reproduction of
+    the CVODE+MAGMA path Figure 2's 'cvode-batched' code state names.
     """
     be = resolve_backend(backend)
-    kernels = compile_batched_kernels(cfg.mechanism)
-    rhs = _fused_chemistry_rhs(cfg.mechanism, T, be)
-
-    def jac(t, conc):
-        return kernels.jacobian(T, np.maximum(conc, 0.0))
-
+    rhs, jac = _fused_chemistry(cfg.mechanism, T, be)
     integ = BatchedBdfIntegrator(rhs, jac=jac, rtol=rtol, atol=atol,
                                  backend=be)
     return integ.integrate(C0, 0.0, dt)
@@ -158,12 +156,18 @@ def integrate_chemistry_scalar(cfg: PeleConfig, T: np.ndarray,
                                C0: np.ndarray, dt: float, *,
                                rtol: float = 1e-6,
                                atol: float = 1e-9) -> np.ndarray:
-    """The pre-batching reference: one scalar BDF integration per cell."""
+    """The pre-batching reference: the same integrator, one cell at a time.
+
+    Identical solver, kernels and tolerances as
+    :func:`integrate_chemistry_batched`, so the ablation isolates the
+    batching lever alone.
+    """
     out = np.empty_like(C0)
     for i in range(C0.shape[0]):
-        rhs = chemistry_rhs(cfg.mechanism, float(T[i]))
-        integ = BdfIntegrator(rhs, rtol=rtol, atol=atol)
-        out[i] = integ.integrate(C0[i].copy(), 0.0, dt).y
+        cell = slice(i, i + 1)
+        out[i] = integrate_chemistry_batched(
+            cfg, T[cell], C0[cell], dt, rtol=rtol, atol=atol,
+            backend="numpy").y[0]
     return out
 
 
@@ -267,16 +271,11 @@ class PeleChemistryCampaign:
         self.step_cost = single_node_step_time(SUMMIT, "cvode-batched")
 
     def step(self) -> float:
-        kernels = compile_batched_kernels(self.mechanism)
         if self.sdc_guard:
             # a corrupted input state must not be integrated forward
             self.validate_state()
 
-        rhs = _fused_chemistry_rhs(self.mechanism, self.T, self.backend)
-
-        def jac(t, conc):
-            return kernels.jacobian(self.T, np.maximum(conc, 0.0))
-
+        rhs, jac = _fused_chemistry(self.mechanism, self.T, self.backend)
         integ = BatchedBdfIntegrator(rhs, jac=jac, rtol=self.rtol,
                                      atol=self.atol, max_steps=20_000,
                                      sdc_guard=self.sdc_guard,

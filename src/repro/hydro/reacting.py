@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chem.codegen import compile_batched_kernels
-from repro.chem.kinetics import chemistry_rhs
 from repro.chem.mechanism import Mechanism, h2_o2_mechanism
 from repro.hydro.euler1d import Euler1D
-from repro.ode import BatchedBdfIntegrator, BdfIntegrator
+from repro.ode import BatchedBdfIntegrator
 from repro.resilience.snapshot import Snapshot, require_kind
 
 
@@ -39,8 +38,8 @@ class ReactingFlow1D:
     By default the chemistry advance is *batched* (§3.8's CVODE+MAGMA
     motif): all burning cells integrate simultaneously through generated
     vectorized rates, analytic batched Jacobians, and batched LU Newton
-    solves.  ``use_batched_chemistry=False`` selects the original
-    cell-at-a-time scalar loop, kept as a reference ablation.
+    solves.  ``use_batched_chemistry=False`` runs the same integrator
+    one cell at a time, the reference ablation of the batching lever.
     """
 
     hydro: Euler1D
@@ -144,11 +143,29 @@ class ReactingFlow1D:
         np.maximum(self.concentrations, 0.0, out=self.concentrations)
 
     def _react(self, dt: float, *, ignition_temperature: float = 800.0) -> None:
-        """Stiff chemistry advance with heat release feedback."""
+        """Stiff chemistry advance of every burning cell, with heat release.
+
+        Batched, all burning cells advance in one integration — the
+        paper's Pele recipe (§3.8): generated vectorized production rates
+        + analytic batched Jacobians + batched LU with Jacobian reuse.
+        The ablation runs the very same integration one cell at a time.
+        """
+        idx = self._burning_cells(ignition_temperature)
+        if idx.size == 0:
+            return
+        T_cells = self.temperature()[idx]
+        c0 = np.ascontiguousarray(self.concentrations[:, idx].T)  # (B, nspec)
         if self.use_batched_chemistry:
-            self._react_batched(dt, ignition_temperature=ignition_temperature)
+            y = self._integrate_cells(T_cells, c0, dt)
         else:
-            self._react_scalar(dt, ignition_temperature=ignition_temperature)
+            y = np.concatenate([
+                self._integrate_cells(T_cells[j:j + 1], c0[j:j + 1], dt)
+                for j in range(idx.size)
+            ])
+        # heat release ∝ product formation (H2O is species 2)
+        dq = self.heat_release * np.maximum(y[:, 2] - c0[:, 2], 0.0)
+        self.hydro.ener[idx] += dq
+        self.concentrations[:, idx] = np.maximum(y, 0.0).T
 
     def _burning_cells(self, ignition_temperature: float) -> np.ndarray:
         """Indices of cells with active chemistry (hot, non-empty)."""
@@ -157,18 +174,9 @@ class ReactingFlow1D:
                & (self.concentrations.sum(axis=0) >= 1e-12))
         return np.flatnonzero(hot)
 
-    def _react_batched(self, dt: float, *, ignition_temperature: float) -> None:
-        """All burning cells advance in one batched BDF integration.
-
-        The paper's Pele recipe (§3.8): generated vectorized production
-        rates + analytic batched Jacobians + batched LU with Jacobian
-        reuse, instead of a Python loop of scalar integrations.
-        """
-        idx = self._burning_cells(ignition_temperature)
-        if idx.size == 0:
-            return
-        T_cells = self.temperature()[idx]
-        c0 = np.ascontiguousarray(self.concentrations[:, idx].T)  # (B, nspec)
+    def _integrate_cells(self, T_cells: np.ndarray, c0: np.ndarray,
+                         dt: float) -> np.ndarray:
+        """Batched BDF advance of the cells ``c0`` (B, nspec) over *dt*."""
         kernels = compile_batched_kernels(self.mechanism)
 
         def rhs(t, conc):
@@ -179,29 +187,7 @@ class ReactingFlow1D:
 
         integ = BatchedBdfIntegrator(rhs, jac=jac, rtol=1e-5, atol=1e-9,
                                      max_steps=20_000)
-        res = integ.integrate(c0, 0.0, dt)
-        # heat release ∝ product formation (H2O is species 2)
-        dq = self.heat_release * np.maximum(res.y[:, 2] - c0[:, 2], 0.0)
-        self.hydro.ener[idx] += dq
-        self.concentrations[:, idx] = np.maximum(res.y, 0.0).T
-
-    def _react_scalar(self, dt: float, *, ignition_temperature: float) -> None:
-        """The original cell-at-a-time advance (reference ablation)."""
-        T = self.temperature()
-        for i in range(self.concentrations.shape[1]):
-            if T[i] < ignition_temperature:
-                continue  # frozen chemistry in cold cells
-            c0 = self.concentrations[:, i]
-            if c0.sum() < 1e-12:
-                continue
-            rhs = chemistry_rhs(self.mechanism, float(T[i]))
-            integ = BdfIntegrator(rhs, rtol=1e-5, atol=1e-9, max_steps=20_000)
-            res = integ.integrate(c0.copy(), 0.0, dt)
-            reacted = res.y
-            # heat release ∝ product formation (H2O is species 2)
-            dq = self.heat_release * max(reacted[2] - c0[2], 0.0)
-            self.hydro.ener[i] += dq
-            self.concentrations[:, i] = np.maximum(reacted, 0.0)
+        return integ.integrate(c0, 0.0, dt).y
 
     def step(self, *, cfl: float = 0.5, chem_dt: float = 1e-5) -> float:
         """One split step: hydro + species advection, then chemistry."""

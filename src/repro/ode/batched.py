@@ -1,25 +1,28 @@
-"""Batched BDF integration: every cell of a field advances at once (§3.8).
+"""Batched variable-order BDF integration: every cell advances at once (§3.8).
 
 The paper attributes a large share of Pele's 75× improvement to moving
 per-cell stiff chemistry onto batched solvers — CVODE with MAGMA batched
 dense LU, Jacobian reuse, and vectorized RHS sweeps.  This module is that
 motif made real for the reproduction: instead of a Python loop running a
-scalar :class:`~repro.ode.bdf.BdfIntegrator` per cell, a single
-:class:`BatchedBdfIntegrator` advances stacked states ``(ncells, nspec)``
-with
+scalar integrator per cell, a single :class:`BatchedBdfIntegrator`
+advances stacked states ``(ncells, nspec)`` with
 
+* the variable-order (1–5), quasi-constant-step NDF/BDF of Shampine and
+  Reichelt (the formulation behind ``scipy.integrate.solve_ivp(
+  method="BDF")``, CVODE's order range): each cell carries its own
+  order, step and backward-difference array, and picks its next order
+  from the k−1/k/k+1 error estimates;
 * one vectorized RHS sweep per Newton iteration covering every cell;
 * one-shot finite-difference Jacobians — all columns of all cells are
   perturbed together via broadcasting, no per-column Python loop;
-* batched Newton solves through :mod:`repro.linalg.batched` LU factors
-  held and reused across Newton iterations and steps (refreshed only when
-  convergence degrades, the Jacobian ages out, or gamma drifts);
-* per-cell adaptive step/error control with masked convergence: cells
-  that converge or finish freeze while stiff cells keep iterating.
+* batched Newton solves on ``M = I − c·J`` with ``c = h/α_k``, through
+  held factors reused across Newton iterations and steps (refreshed only
+  when convergence degrades, the Jacobian ages out, or ``c`` drifts);
+* per-cell step/error control with masked convergence: cells that
+  converge or finish freeze while stiff cells keep iterating.
 
-The per-cell algorithm is the same variable-step BDF(1,2) with modified
-Newton as the scalar integrator, so results agree within solver
-tolerances (the ablation bench asserts this).
+Run on one cell at a time, the same integrator is the scalar ablation
+the batching lever is measured against.
 """
 
 from __future__ import annotations
@@ -50,14 +53,69 @@ BatchRhsFn = Callable[[object, np.ndarray], np.ndarray]
 #: Batched Jacobian: ``jac(t, Y)`` mapping (ncells, n) -> (ncells, n, n).
 BatchJacFn = Callable[[object, np.ndarray], np.ndarray]
 
+#: Highest BDF order a cell may select.
+MAX_ORDER = 5
+#: Rows of the difference array: ∇⁰…∇^MAX_ORDER plus the two higher
+#: differences the order-selection estimates read.
+_NDIFF = MAX_ORDER + 3
+#: Bounds on one step-size change (error-test rejections / order picks).
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+
+# NDF coefficients (Shampine & Reichelt): κ_k, γ_k = Σ 1/j, α_k and the
+# local-error constants, indexed by order.  The error constant table has
+# one padding entry so order MAX_ORDER can index "k+1" (never selected).
+_KAPPA = np.array([0.0, -0.1850, -1.0 / 9.0, -0.0823, -0.0415, 0.0])
+_GAMMA = np.hstack((0.0, np.cumsum(1.0 / np.arange(1, MAX_ORDER + 1))))
+_ALPHA = (1.0 - _KAPPA) * _GAMMA
+_ERROR_CONST = np.hstack((_KAPPA * _GAMMA + 1.0 / np.arange(1, MAX_ORDER + 2),
+                          0.0))
+_ROWS = np.arange(MAX_ORDER + 1)
+#: row i of the difference array takes part in an order-k step iff i ≤ k
+_LIVE = (_ROWS[None, :] <= _ROWS[:, None]).astype(float)
+#: per-order weights over the differences of the predictor
+#: ``y_pred = Σ_{i≤k} ∇^i`` and the history term ``ψ = Σ_{1≤i≤k} γ_i ∇^i
+#: / α_k``; order 0 (a finished cell) predicts its own solution
+_PREDICT = np.zeros((MAX_ORDER + 1, 2, MAX_ORDER + 1))
+_PREDICT[:, 0] = _LIVE
+_PREDICT[1:, 1] = _LIVE[1:] * _GAMMA[None, :] / _ALPHA[1:, None]
+#: tail sums: row i of ``_TAIL @ x`` is ``Σ_{j≥i} x_j``
+_TAIL = np.triu(np.ones((MAX_ORDER + 1, MAX_ORDER + 1)))
+
+
+def _compute_R(factor: np.ndarray) -> np.ndarray:
+    """scipy's ``compute_R(MAX_ORDER, f)`` for every factor: (m, 6, 6)."""
+    i = np.arange(1, MAX_ORDER + 1)[:, None]
+    M = np.zeros((factor.size, MAX_ORDER + 1, MAX_ORDER + 1))
+    M[:, 1:, 1:] = (i - 1 - factor[:, None, None] * i.T) / i
+    M[:, 0] = 1.0
+    return np.cumprod(M, axis=1)
+
+
+_U = _compute_R(np.ones(1))[0]
+
+
+def _change_matrix(order: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Per-cell (6, 6) maps rescaling the differences to a new step.
+
+    ``RU[b]`` restricted to rows/columns ≤ ``order[b]`` is scipy's
+    ``compute_R(k, factor)·compute_R(k, 1)``; rows beyond the cell's
+    order map to themselves, so they pass through unchanged.
+    """
+    live = _LIVE[order]
+    mask = live[:, :, None] * live[:, None, :]
+    RU = np.matmul(_compute_R(factor) * mask, _U * mask)
+    RU[:, _ROWS, _ROWS] += 1.0 - live
+    return RU
+
 
 @dataclass
 class BatchedBdfStats:
     """Aggregate work counters for one batched integration.
 
     ``rhs_sweeps`` counts *batched* evaluations — each one covers every
-    cell, which is the whole point: compare against ``ncells ×`` the
-    scalar integrator's ``rhs_evals``.
+    cell, which is the whole point: compare against ``ncells ×`` a
+    one-cell-at-a-time integration's sweeps.
     """
 
     ncells: int = 0
@@ -87,9 +145,8 @@ _STATS_FIELDS = (
 #: (name, dtype) of every array carried across lockstep rounds — the full
 #: resumable state, *including* the Jacobian/LU reuse caches.
 _STATE_ARRAYS = (
-    ("t", float), ("Y", float), ("F0", float), ("h", float),
-    ("Y_prev", float), ("h_prev", float), ("have_prev", bool),
-    ("past_t", float), ("past_y", float), ("past_cnt", np.int64),
+    ("t", float), ("D", float), ("h", float), ("order", np.int64),
+    ("n_equal_steps", np.int64),
     ("J", float), ("J_valid", bool), ("jac_age", np.int64),
     ("lu", float), ("piv", np.intp), ("inv", float), ("gamma_fact", float),
     ("fact_valid", bool), ("steps_per_cell", np.int64), ("done", bool),
@@ -101,23 +158,19 @@ class BatchedBdfState:
     """The complete mid-integration state of a batched BDF advance.
 
     Everything the lockstep loop carries between rounds lives here — the
-    per-cell solution/history arrays *and* the Jacobian/LU reuse caches —
-    so an integration can pause after any round and resume (or be
-    checkpointed and restored bit-identically on another host).
+    per-cell difference arrays ``D`` (``D[:, 0]`` is the solution), the
+    per-cell order and equal-step count, *and* the Jacobian/LU reuse
+    caches — so an integration can pause after any round and resume (or
+    be checkpointed and restored bit-identically on another host).
     """
 
     t_end: float
     t_scale: float
     t: np.ndarray
-    Y: np.ndarray
-    F0: np.ndarray
+    D: np.ndarray
     h: np.ndarray
-    Y_prev: np.ndarray
-    h_prev: np.ndarray
-    have_prev: np.ndarray
-    past_t: np.ndarray
-    past_y: np.ndarray
-    past_cnt: np.ndarray
+    order: np.ndarray
+    n_equal_steps: np.ndarray
     J: np.ndarray
     J_valid: np.ndarray
     jac_age: np.ndarray
@@ -131,16 +184,21 @@ class BatchedBdfState:
     stats: BatchedBdfStats = field(default_factory=BatchedBdfStats)
 
     snapshot_kind = "ode.batched_bdf_state"
-    #: v2 added the held Newton inverse (the backend fast path's factor
-    #: cache) so mid-integration restores resume bit-identically on it.
-    snapshot_version = 2
+    #: v3 replaced the BDF(1,2) history with the variable-order
+    #: difference array, per-cell order and equal-step count.
+    snapshot_version = 3
+
+    @property
+    def Y(self) -> np.ndarray:
+        """(ncells, n) current solution (a view of ``D[:, 0]``)."""
+        return self.D[:, 0]
 
     @property
     def finished(self) -> bool:
         return bool(self.done.all())
 
     def result(self) -> BatchedBdfResult:
-        return BatchedBdfResult(t=self.t, y=self.Y, stats=self.stats)
+        return BatchedBdfResult(t=self.t, y=self.Y.copy(), stats=self.stats)
 
     def snapshot(self) -> Snapshot:
         payload: dict = {
@@ -165,7 +223,7 @@ class BatchedBdfState:
 
 
 class BatchedBdfIntegrator:
-    """Variable-step BDF(1,2) over a batch of independent stiff systems.
+    """Variable-order (1–5) NDF/BDF over a batch of independent stiff systems.
 
     ``sdc_guard=True`` arms the silent-data-corruption defenses: fresh
     Newton factorizations are checksum-verified
@@ -225,6 +283,16 @@ class BatchedBdfIntegrator:
         # einsum sidesteps np.mean's reduction machinery on this hot path
         return np.sqrt(np.einsum("...j,...j->...", EW, EW) / EW.shape[-1])
 
+    @staticmethod
+    def _rescale(D: np.ndarray, order: np.ndarray, factor: np.ndarray,
+                 cells: np.ndarray) -> None:
+        """Re-express the differences of *cells* for ``h ← factor·h``."""
+        idx = np.flatnonzero(cells)
+        if idx.size:
+            RU = _change_matrix(order[idx], factor[idx])
+            D[idx, :MAX_ORDER + 1] = np.matmul(
+                RU.transpose(0, 2, 1), D[idx, :MAX_ORDER + 1])
+
     def _build_jacobian(self, t, Y: np.ndarray,
                         stats: BatchedBdfStats) -> np.ndarray:
         tr = self.tracer
@@ -269,63 +337,42 @@ class BatchedBdfIntegrator:
                 f"step size underflow in cell {i} at t={t[i]:.3e}"
             )
 
-    def _error_estimate(self, past_t, past_y, past_cnt, have_prev,
-                        t_new, Yn, h, W) -> np.ndarray:
-        """Per-cell WRMS local-truncation-error estimate.
+    def _initial_step(self, t0: float, span: float, Y: np.ndarray,
+                      F0: np.ndarray, stats: BatchedBdfStats) -> np.ndarray:
+        """Per-cell first step (Hairer–Wanner, as scipy's order-1 pick).
 
-        Mirrors the scalar integrator: the highest-order Newton divided
-        difference of the last implicit solution points, with the number
-        of points selected per cell (ragged histories are handled by
-        computing all three candidate differences vectorized and picking
-        per cell)."""
-        pts_t = np.concatenate([past_t, t_new[:, None]], axis=1)       # (B, 5)
-        pts_y = np.concatenate([past_y, Yn[:, None, :]], axis=1)       # (B, 5, n)
-        order = np.where(have_prev, 2, 1)
-        npts = np.minimum(past_cnt, order + 1) + 1                     # in {2,3,4}
-        # only compute the difference levels some cell actually selects —
-        # after warmup that is usually just m=4, a third of the old work
-        dds = {}
-        for m in (2, 3, 4):
-            if not (npts == m).any():
-                continue
-            Tm = pts_t[:, -m:]
-            Yv = pts_y[:, -m:, :]
-            for level in range(1, m):
-                denom = (Tm[:, level:] - Tm[:, :-level])[:, :, None]
-                Yv = (Yv[:, 1:, :] - Yv[:, :-1, :]) / denom
-            dds[m] = Yv[:, 0, :]
-        if len(dds) == 1:
-            dd = next(iter(dds.values()))
-        else:
-            fill = np.zeros_like(pts_y[:, 0, :])
-            dd = np.where((npts == 2)[:, None], dds.get(2, fill),
-                          np.where((npts == 3)[:, None], dds.get(3, fill),
-                                   dds.get(4, fill)))
-        err_vec = np.where((order == 1)[:, None],
-                           h[:, None] ** 2 * dd,
-                           (4.0 / 3.0) * h[:, None] ** 3 * dd)
-        return self._wrms(err_vec, W)
+        One extra batched RHS sweep probes the second derivative at a
+        trial explicit Euler step.
+        """
+        W = self._error_weights(Y)
+        d0 = self._wrms(Y, W)
+        d1 = self._wrms(F0, W)
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, span)
+        F1 = np.asarray(self.rhs(t0 + h0, Y + h0[:, None] * F0))
+        stats.rhs_sweeps += 1
+        d2 = self._wrms(F1 - F0, W) / h0
+        dmax = np.maximum(d1, d2)
+        h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, 1e-3 * h0),
+                      np.sqrt(0.01 / dmax))
+        h = np.minimum(np.minimum(100.0 * h0, h1), span)
+        # a probe that overflowed leaves the conservative first guess
+        return np.where(np.isfinite(h) & (h > 0), h, h0)
 
-    def _newton(self, t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
-                J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
-                stats) -> tuple[np.ndarray, np.ndarray]:
+    def _newton(self, s: BatchedBdfState, t_new, Y_pred, psi, gamma,
+                active):
         tr = self.tracer
         if tr is None:
-            return self._newton_impl(
-                t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
-                J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
-                stats)
+            return self._newton_impl(s, t_new, Y_pred, psi, gamma, active)
+        stats = s.stats
         iters0 = stats.newton_iters
         refact0 = stats.cells_refactored
         with tr.span("ode.newton", cat="ode", pid="ode", tid="batched",
                      cells=int(active.sum()),
                      backend=self._backend.name) as sp:
-            converged, Yn = self._newton_impl(
-                t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
-                J, J_valid, jac_age, lu, piv, inv, gamma_fact, fact_valid,
-                stats)
+            out = self._newton_impl(s, t_new, Y_pred, psi, gamma, active)
             sp.args["iters"] = stats.newton_iters - iters0
-            sp.args["converged"] = int(converged.sum())
+            sp.args["converged"] = int(out[0].sum())
         m = tr.metrics
         m.counter("ode.newton_calls").inc()
         m.counter("ode.newton_iters").inc(stats.newton_iters - iters0)
@@ -335,18 +382,20 @@ class BatchedBdfIntegrator:
         if reused > 0:
             # Jacobian/LU reuse hits: cells solved on held factors
             m.counter("ode.lu_reuse_hits").inc(reused)
-        return converged, Yn
+        return out
 
-    def _newton_impl(self, t_new, Y, Y_prev, Y_pred, a0, a1, a2, h, gamma,
-                     active, J, J_valid, jac_age, lu, piv, inv, gamma_fact,
-                     fact_valid, stats) -> tuple[np.ndarray, np.ndarray]:
-        """Masked modified-Newton solve across the batch.
+    def _newton_impl(self, s: BatchedBdfState, t_new, Y_pred, psi, gamma,
+                     active):
+        """Masked modified-Newton solve of ``d − c·f(y) + ψ = 0`` per cell.
 
-        Returns ``(converged, Yn)``.  Newton factors persist across calls
-        and are refactored per cell only when the Jacobian was refreshed
-        or gamma drifted; a cell that fails with a *reused* Jacobian gets
-        one fresh-Jacobian retry (CVODE's recovery ladder) before its step
-        is abandoned.
+        ``y = y_pred + d``; every iteration solves ``(I − c·J) Δ =
+        c·f(y) − ψ − d`` on held factors.  Returns ``(converged, y, d,
+        iters)`` — ``d`` feeds the error estimate and the difference
+        update, ``iters`` the step-size safety factor.  Newton factors
+        persist across calls and are refactored per cell only when the
+        Jacobian was refreshed or ``c`` drifted; a cell that fails with a
+        *reused* Jacobian gets one fresh-Jacobian retry (CVODE's recovery
+        ladder) before its step is abandoned.
 
         Without ``sdc_guard`` the factor cache is the backend's explicit
         inverse — one ``inv`` per refactorization, one matmul per
@@ -357,11 +406,17 @@ class BatchedBdfIntegrator:
         backward-stable triangular solve, which an explicit inverse does
         not honor.
         """
-        B, n = Y.shape
+        B, n = Y_pred.shape
+        stats = s.stats
+        J, J_valid, jac_age = s.J, s.J_valid, s.jac_age
+        lu, piv, inv = s.lu, s.piv, s.inv
+        gamma_fact, fact_valid = s.gamma_fact, s.fact_valid
         use_inv = not self.sdc_guard
         be = self._backend
         diag = np.arange(n)
-        Yn = np.where(active[:, None], Y_pred, Y)
+        Yn = Y_pred.copy()
+        d = np.zeros_like(Yn)
+        iters = np.zeros(B, dtype=np.int64)
         W = self._error_weights(Y_pred)
         converged = np.zeros(B, dtype=bool)
         need = active.copy()
@@ -397,13 +452,16 @@ class BatchedBdfIntegrator:
                 F = self.rhs(t_new, Yn)
                 stats.rhs_sweeps += 1
                 stats.newton_iters += 1
-                res = Yn + ((a1[:, None] * Y + a2[:, None] * Y_prev)
-                            - h[:, None] * F) / a0[:, None]
-                uidx = np.flatnonzero(unconv)
+                res = d - gamma[:, None] * F + psi
                 if use_inv:
-                    delta = be.inv_apply(inv[uidx], -res[uidx])
+                    # one whole-batch matmul beats gathering the held
+                    # inverses of the unconverged cells
+                    delta = np.where(unconv[:, None],
+                                     be.inv_apply(inv, -res), 0.0)
                 else:
-                    delta = be.lu_solve(lu[uidx], piv[uidx], -res[uidx])
+                    uidx = np.flatnonzero(unconv)
+                    delta = np.zeros_like(res)
+                    delta[uidx] = be.lu_solve(lu[uidx], piv[uidx], -res[uidx])
                 if not audited:
                     # first solve of the round residual-checks the *held*
                     # factors: rebuild the iteration matrix they claim to
@@ -415,23 +473,68 @@ class BatchedBdfIntegrator:
                     audited = True
                     M_held = -gamma_fact[uidx, None, None] * J[uidx]
                     M_held[:, diag, diag] += 1.0
-                    verify_solve(M_held, delta, -res[uidx], growth=4.0)
-                Yn[uidx] += delta
-                newly = self._wrms(delta, W[uidx]) < self.newton_tol
-                converged[uidx[newly]] = True
-                unconv[uidx[newly]] = False
+                    verify_solve(M_held, delta[uidx], -res[uidx], growth=4.0)
+                Yn += delta
+                d += delta
+                iters += unconv
+                newly = unconv & (self._wrms(delta, W) < self.newton_tol)
+                converged |= newly
+                unconv &= ~newly
             failed = need & ~converged
             if not failed.any():
                 break
             retry = failed & (jac_age > 0)
             if attempt == 0 and retry.any():
                 need = retry
-                Yn[retry] = Y_pred[retry]  # restart the retried iteration
+                # restart the retried iteration from the predictor
+                Yn[retry] = Y_pred[retry]
+                d[retry] = 0.0
+                iters[retry] = 0
                 continue
             break
         failed = active & ~converged
         J_valid[failed] = False
-        return converged, Yn
+        return converged, Yn, d, iters
+
+    @staticmethod
+    def _advance_differences(D: np.ndarray, order: np.ndarray,
+                             d: np.ndarray, cells: np.ndarray) -> None:
+        """Fold an accepted step's correction *d* into the differences.
+
+        ``∇^{k+2} ← d − ∇^{k+1}``, ``∇^{k+1} ← d`` and ``∇^i += ∇^{i+1}``
+        downwards from ``i = k`` (so ``∇^i ← d + Σ_{i≤j≤k} ∇^j``) —
+        scipy's update, per cell order.
+        """
+        live = _LIVE[order] * cells[:, None]
+        low = D[:, :MAX_ORDER + 1]
+        tail = np.matmul(_TAIL * live[:, None, :], low) + d[:, None, :]
+        D[:, :MAX_ORDER + 1] = np.where(live[:, :, None] > 0, tail, low)
+        idx = np.flatnonzero(cells)
+        k = order[idx]
+        D[idx, k + 2] = d[idx] - D[idx, k + 1]
+        D[idx, k + 1] = d[idx]
+
+    def _select_order(self, s: BatchedBdfState, cells: np.ndarray,
+                      err: np.ndarray, W: np.ndarray,
+                      safety: np.ndarray, factor: np.ndarray) -> None:
+        """Pick order k−1, k or k+1 and the step factor for *cells*.
+
+        Runs once a cell has taken ``k+1`` steps at its current step, as
+        the quasi-constant-step formulation requires; the order whose
+        error estimate allows the largest step wins.
+        """
+        idx = np.flatnonzero(cells)
+        k = s.order[idx]
+        Wi = W[idx]
+        err_m = np.where(k > 1, self._wrms(
+            _ERROR_CONST[k - 1][:, None] * s.D[idx, k], Wi), np.inf)
+        err_p = np.where(k < MAX_ORDER, self._wrms(
+            _ERROR_CONST[k + 1][:, None] * s.D[idx, k + 2], Wi), np.inf)
+        norms = np.stack([err_m, err[idx], err_p], axis=1)
+        factors = norms ** (-1.0 / (k[:, None] + np.arange(3)))
+        s.order[idx] = k + np.argmax(factors, axis=1) - 1
+        factor[idx] = np.minimum(_MAX_FACTOR,
+                                 safety[idx] * factors.max(axis=1))
 
     # -- public ---------------------------------------------------------------
 
@@ -444,41 +547,27 @@ class BatchedBdfIntegrator:
             raise IntegrationError(f"batched state must be 2-D, got {Y.shape}")
         B, n = Y.shape
         stats = BatchedBdfStats(ncells=B)
+        # interval-relative step floor: microsecond chemistry advances
+        # legitimately need h far below 1e-14
+        t_scale = max(abs(t0), abs(t_end))
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            t = np.full(B, float(t0))
             F0 = np.asarray(self.rhs(t0, Y))
             stats.rhs_sweeps += 1
-            scale = np.sqrt(np.sum((F0 * self._error_weights(Y)) ** 2,
-                                   axis=1)) + 1e-30
-            h = np.minimum((t_end - t0) / 100.0, 0.01 / scale)
-            # interval-relative step floor: microsecond chemistry advances
-            # legitimately need h far below 1e-14
-            t_scale = max(abs(t0), abs(t_end))
+            h = self._initial_step(t0, t_end - t0, Y, F0, stats)
             h = np.maximum(h, 1e-14 * t_scale)
 
-        # rolling accepted-point history for error estimation; fake
-        # pre-history times are distinct so unused divided differences
-        # stay finite (they are never selected)
-        past_t = np.full((B, 4), t0) - np.arange(4, 0, -1)[None, :]
-        past_t[:, -1] = t0
-        past_y = np.zeros((B, 4, n))
-        past_y[:, -1] = Y
-
-        tiny = 1e-14 * t_scale
+        D = np.zeros((B, _NDIFF, n))
+        D[:, 0] = Y
+        D[:, 1] = F0 * h[:, None]
         return BatchedBdfState(
             t_end=float(t_end),
             t_scale=t_scale,
-            t=t,
-            Y=Y,
-            F0=F0,
+            t=np.full(B, float(t0)),
+            D=D,
             h=h,
-            Y_prev=np.zeros_like(Y),
-            h_prev=np.ones(B),
-            have_prev=np.zeros(B, dtype=bool),
-            past_t=past_t,
-            past_y=past_y,
-            past_cnt=np.ones(B, dtype=np.int64),
+            order=np.ones(B, dtype=np.int64),
+            n_equal_steps=np.zeros(B, dtype=np.int64),
             J=np.zeros((B, n, n)),
             J_valid=np.zeros(B, dtype=bool),
             jac_age=np.zeros(B, dtype=np.int64),
@@ -488,7 +577,7 @@ class BatchedBdfIntegrator:
             gamma_fact=np.zeros(B),
             fact_valid=np.zeros(B, dtype=bool),
             steps_per_cell=np.zeros(B, dtype=np.int64),
-            done=t >= t_end - tiny,
+            done=np.zeros(B, dtype=bool),
             stats=stats,
         )
 
@@ -514,89 +603,93 @@ class BatchedBdfIntegrator:
     def _step_round_impl(self, s: BatchedBdfState) -> None:
         if s.finished:
             return
-        t_end, tiny = s.t_end, 1e-14 * s.t_scale
+        t_end = s.t_end
         stats = s.stats
+        D, order = s.D, s.order
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stats.step_rounds += 1
-            if s.steps_per_cell.max() >= self.max_steps:
-                i = int(s.steps_per_cell.argmax())
+            active = ~s.done
+            over = active & (s.steps_per_cell >= self.max_steps)
+            if over.any():
+                i = int(np.flatnonzero(over)[0])
                 raise IntegrationError(
                     f"max_steps={self.max_steps} exceeded in cell {i} "
                     f"at t={s.t[i]:.3e}"
                 )
             if stats.step_rounds > 10 * self.max_steps:
                 raise IntegrationError("lockstep round budget exceeded")
-            active = ~s.done
-            h = np.where(active, np.minimum(s.h, t_end - s.t), s.h)
+            h = s.h.copy()
             t_new = s.t + h
-            rho = np.where(s.have_prev, h / s.h_prev, 1.0)
-            a0 = np.where(s.have_prev, (1 + 2 * rho) / (1 + rho), 1.0)
-            a1 = np.where(s.have_prev, -(1 + rho), -1.0)
-            a2 = np.where(s.have_prev, rho**2 / (1 + rho), 0.0)
-            gamma = h / a0
-            Y_pred = np.where(s.have_prev[:, None],
-                              s.Y + rho[:, None] * (s.Y - s.Y_prev),
-                              s.Y + h[:, None] * s.F0)
+            # a cell's last step lands on t_end exactly
+            last = active & (t_new > t_end - 1e-14 * s.t_scale)
+            if last.any():
+                t_new[last] = t_end
+                self._rescale(D, order, (t_end - s.t) / h, last)
+                h[last] = t_end - s.t[last]
+                s.n_equal_steps[last] = 0
+            # finished cells hold their solution: the RHS and Jacobian
+            # sweeps cover them, so never feed them an extrapolation
+            Y_pred, psi = np.einsum("bki,bin->kbn",
+                                    _PREDICT[np.where(active, order, 0)],
+                                    D[:, :MAX_ORDER + 1])
+            gamma = h / _ALPHA[order]  # c = h/α_k, CVODE's gamma
 
-            converged, Yn = self._newton(
-                t_new, s.Y, s.Y_prev, Y_pred, a0, a1, a2, h, gamma, active,
-                s.J, s.J_valid, s.jac_age, s.lu, s.piv, s.inv, s.gamma_fact,
-                s.fact_valid, stats)
+            converged, Yn, d, iters = self._newton(
+                s, t_new, Y_pred, psi, gamma, active)
+            # every step-size change this round, applied to h and the
+            # differences together at the end
+            factor = np.ones_like(h)
             newton_failed = active & ~converged
             if newton_failed.any():
                 stats.newton_failures += int(newton_failed.sum())
-                h = np.where(newton_failed, 0.25 * h, h)
-                self._check_underflow(h, s.t, newton_failed, s.t_scale)
-
+                factor[newton_failed] = 0.5
             test = active & converged
-            if not test.any():
-                s.h = h
-                return
-            W = self._error_weights(s.Y)
-            err = self._error_estimate(s.past_t, s.past_y, s.past_cnt,
-                                       s.have_prev, t_new, Yn, h, W)
-            order = np.where(s.have_prev, 2, 1)
-            factor = 0.9 * np.maximum(err, 1e-300) ** (-1.0 / (order + 1))
+            W = self._error_weights(Yn)
+            err = self._wrms(_ERROR_CONST[order][:, None] * d, W)
+            safety = 0.9 * (2 * self.max_newton + 1) / (
+                2 * self.max_newton + iters)
             reject = test & (err > 1.0)
             accept = test & ~reject
+            ready = np.zeros_like(accept)
             if reject.any():
                 stats.error_test_failures += int(reject.sum())
-                h = np.where(reject, h * np.maximum(0.1, factor), h)
-                self._check_underflow(h, s.t, reject, s.t_scale)
+                factor[reject] = np.maximum(
+                    _MIN_FACTOR, safety * err ** (-1.0 / (order + 1)))[reject]
             if accept.any():
                 stats.steps += int(accept.sum())
                 s.steps_per_cell[accept] += 1
                 s.jac_age[accept] += 1
-                s.Y_prev = np.where(accept[:, None], s.Y, s.Y_prev)
-                s.h_prev = np.where(accept, h, s.h_prev)
-                s.t = np.where(accept, t_new, s.t)
-                s.Y = np.where(accept[:, None], Yn, s.Y)
-                s.past_t[accept, :-1] = s.past_t[accept, 1:]
-                s.past_t[accept, -1] = s.t[accept]
-                s.past_y[accept, :-1, :] = s.past_y[accept, 1:, :]
-                s.past_y[accept, -1, :] = s.Y[accept]
-                s.past_cnt[accept] = np.minimum(s.past_cnt[accept] + 1, 4)
-                s.have_prev |= accept
-                grow = np.where(err > 0,
-                                np.minimum(5.0, np.maximum(0.2, factor)),
-                                5.0)
-                h = np.where(accept, h * grow, h)
-                s.done = s.t >= t_end - tiny
+                s.n_equal_steps[accept] += 1
+                s.t[accept] = t_new[accept]
+                self._advance_differences(D, order, d, accept)
+                s.done = s.t >= t_end
                 if self.sdc_guard:
-                    require_finite("accepted state", s.Y[accept],
-                                   s.t[accept], s.h_prev[accept])
-                    if self.plausibility is not None:
-                        ok = np.asarray(self.plausibility(s.Y[accept]),
-                                        dtype=bool)
-                        if not ok.all():
-                            cell = int(np.flatnonzero(accept)[
-                                int(np.flatnonzero(~ok)[0])])
-                            raise SdcDetected(
-                                f"accepted state fails plausibility in "
-                                f"cell {cell} at t={s.t[cell]:.3e}",
-                                location=(cell,),
-                            )
+                    self._audit_accepted(s, accept, h)
+                ready = accept & ~s.done & (s.n_equal_steps >= order + 1)
+                if ready.any():
+                    self._select_order(s, ready, err, W, safety, factor)
+            shrunk = newton_failed | reject
+            changed = shrunk | ready
+            if changed.any():
+                h[changed] *= factor[changed]
+                self._rescale(D, order, factor, changed)
+                s.n_equal_steps[changed] = 0
+                self._check_underflow(h, s.t, shrunk, s.t_scale)
             s.h = h
+
+    def _audit_accepted(self, s: BatchedBdfState, accept: np.ndarray,
+                        h: np.ndarray) -> None:
+        Y = s.Y
+        require_finite("accepted state", Y[accept], s.t[accept], h[accept])
+        if self.plausibility is not None:
+            ok = np.asarray(self.plausibility(Y[accept]), dtype=bool)
+            if not ok.all():
+                cell = int(np.flatnonzero(accept)[int(np.flatnonzero(~ok)[0])])
+                raise SdcDetected(
+                    f"accepted state fails plausibility in "
+                    f"cell {cell} at t={s.t[cell]:.3e}",
+                    location=(cell,),
+                )
 
     def integrate(self, y0: np.ndarray, t0: float, t_end: float) -> BatchedBdfResult:
         """Advance every cell of ``y0`` (ncells, n) from *t0* to *t_end*."""

@@ -437,7 +437,9 @@ class TestIntegrationAcrossBackends:
         uninterrupted = integrator()
         state = base.start(C0, 0.0, 1e-7)
         ref_state = uninterrupted.start(C0, 0.0, 1e-7)
-        for _ in range(4):
+        # pause where the cells run at different BDF orders
+        while len(np.unique(state.order)) < 2:
+            assert not state.finished
             base.step_round(state)
         snap = state.snapshot()
 
@@ -446,6 +448,9 @@ class TestIntegrationAcrossBackends:
         resumed_state.restore(snap)
         # the held Newton caches (J/lu/inv) travel with the snapshot
         np.testing.assert_array_equal(resumed_state.inv, state.inv)
+        np.testing.assert_array_equal(resumed_state.D, state.D)
+        np.testing.assert_array_equal(resumed_state.order, state.order)
+        assert len(np.unique(resumed_state.order)) >= 2
 
         cont = integrator()
         while not resumed_state.finished:
@@ -456,7 +461,8 @@ class TestIntegrationAcrossBackends:
         np.testing.assert_array_equal(resumed_state.t, ref_state.t)
 
     def test_snapshot_version_guard(self, name):
-        """v1 snapshots (no held inverse) are refused, not misread."""
+        """v1 (no held inverse) and v2 (BDF(1,2) history, no difference
+        array or per-cell order) snapshots are refused, not misread."""
         from repro.resilience.snapshot import SnapshotError
 
         from repro.chem.mechanism import h2_o2_mechanism as mech_fn
@@ -473,6 +479,9 @@ class TestIntegrationAcrossBackends:
             backend=be)
         state = integ.start(C0, 0.0, 1e-8)
         snap = state.snapshot()
-        stale = type(snap)(kind=snap.kind, version=1, payload=snap.payload)
-        with pytest.raises(SnapshotError):
-            state.restore(stale)
+        for version in (1, 2):
+            stale = type(snap)(kind=snap.kind, version=version,
+                               payload=snap.payload)
+            with pytest.raises(SnapshotError):
+                state.restore(stale)
+        state.restore(snap)  # the current version still round-trips

@@ -1,11 +1,12 @@
 """Tests for the batched BDF integrator and its supporting substrates.
 
-The batched path (§3.8's CVODE+MAGMA motif) must reproduce the scalar
-integrator's answers: same per-cell BDF(1,2) algorithm, just advanced in
-lockstep with batched linear algebra.  The property test drives both on
-batches of random stiff linear systems — including badly ragged batches
-where per-cell stiffness spans several decades so cells converge at very
-different rates — and checks agreement within solver tolerances.
+The batched path (§3.8's CVODE+MAGMA motif) is a variable-order (1–5)
+NDF/BDF advanced in lockstep with batched linear algebra.  The property
+test drives it and the scalar BDF(1,2) integrator on batches of random
+stiff linear systems — including badly ragged batches where per-cell
+stiffness spans several decades so cells converge at very different
+rates — and checks agreement within solver tolerances; the accuracy
+oracles hold it to scipy and to exact ``expm`` solutions.
 """
 
 import numpy as np
@@ -181,6 +182,21 @@ class TestBatchedBdf:
         with pytest.raises(IntegrationError):
             integ.integrate(np.ones(3), 0.0, 1.0)
 
+    def test_max_steps_ignores_finished_cells(self):
+        """A cell that finished in exactly ``max_steps`` steps must not
+        abort its still-running neighbours; a running one at the budget
+        still raises."""
+        integ = BatchedBdfIntegrator(lambda t, y: -y, max_steps=5)
+        state = integ.start(np.ones((2, 1)), 0.0, 1.0)
+        state.steps_per_cell[0] = 5
+        state.t[0] = 1.0
+        state.done[0] = True
+        integ.step_round(state)  # cell 1 is still within its budget
+        assert state.stats.step_rounds == 1
+        state.steps_per_cell[1] = 5
+        with pytest.raises(IntegrationError, match="cell 1"):
+            integ.step_round(state)
+
     def test_step_underflow_raises(self):
         def discontinuous(t, y):
             t_arr = np.broadcast_to(np.asarray(t, dtype=float), y.shape[-2])
@@ -211,3 +227,89 @@ def test_batched_matches_scalar_property(seed, ncells, n):
         # both carry O(tol) local error; compare against a shared band
         scale = np.abs(ref) + np.abs(y0[b]).max()
         assert np.all(np.abs(res.y[b] - ref) <= 200 * rtol * scale + 100 * atol)
+
+
+def _run_to_end(integ, y0, t_end):
+    """Integrate round by round; also return each cell's peak |y|."""
+    state = integ.start(y0, 0.0, t_end)
+    peak = np.abs(state.Y)
+    while not state.finished:
+        integ.step_round(state)
+        peak = np.maximum(peak, np.abs(state.Y))
+    return state, peak
+
+
+def _error_vs_budget(state, peak, ref, rtol, atol):
+    """Per-cell WRMS error in tolerance units, and its step-count bound.
+
+    Each accepted step keeps its local error within one tolerance unit,
+    ``rtol*|y_n| + atol`` in WRMS, and ``|y_n|`` never exceeds the
+    cell's peak; on these contractive problems the global error is at
+    most the sum of the local ones — the cell's accepted step count.
+    """
+    e = (state.Y - ref) / (rtol * peak + atol)
+    return np.sqrt(np.mean(e * e, axis=-1)), state.steps_per_cell
+
+
+class TestAccuracyOracles:
+    """The integrator against solutions it shares no code with; each
+    check prints its worst margin to the bound."""
+
+    rtol, atol = 1e-6, 1e-9
+
+    def test_drm19_field_matches_tight_scipy_bdf(self):
+        from scipy.integrate import solve_ivp
+        from scipy.linalg import block_diag
+
+        from repro.apps.pele import PeleConfig, chemistry_field
+        from repro.backend import get_backend
+        from repro.chem.fused import fused_jacobian, rate_tables
+
+        cfg = PeleConfig()
+        T, C0 = chemistry_field(cfg, 8, seed=0)
+        B, n = C0.shape
+        tables = rate_tables(cfg.mechanism)
+        kernel = get_backend("numpy").rates_kernel(tables)
+        kf, kr = kernel.rate_constants(T)
+
+        def rhs(t, conc):
+            return kernel.wdot(kf, kr, np.maximum(conc, 0.0))
+
+        def jac(t, conc):
+            return fused_jacobian(tables, kf, kr, np.maximum(conc, 0.0))
+
+        state, peak = _run_to_end(BatchedBdfIntegrator(
+            rhs, jac=jac, rtol=self.rtol, atol=self.atol), C0, 1e-9)
+        assert np.all(state.t == 1e-9)
+        # the whole field as one stacked system, four decades tighter
+        ref = solve_ivp(
+            lambda t, y: rhs(t, y.reshape(B, n)).ravel(), (0.0, 1e-9),
+            C0.ravel(), method="BDF", rtol=1e-10, atol=1e-13,
+            jac=lambda t, y: block_diag(*jac(t, y.reshape(B, n))))
+        assert ref.success
+        err, bound = _error_vs_budget(state, peak,
+                                      ref.y[:, -1].reshape(B, n),
+                                      self.rtol, self.atol)
+        margin = float((1.0 - err / bound).min())
+        print(f"drm19 vs scipy: worst {err.max():.2f} tolerance units, "
+              f"margin {margin:.1%} to the step-count bound")
+        assert np.all(err <= bound)
+
+    def test_random_stiff_batches_match_expm(self):
+        worst_margin = 1.0
+        for seed in range(24):
+            rng = np.random.default_rng([seed, 7])
+            ncells, n = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            A, y0 = _random_stiff_batch(seed, ncells, n)
+            state, peak = _run_to_end(BatchedBdfIntegrator(
+                lambda t, y: np.einsum("bij,...bj->...bi", A, y),
+                jac=lambda t, y: A, rtol=self.rtol, atol=self.atol),
+                y0, 0.5)
+            exact = np.stack([expm(0.5 * A[b]) @ y0[b]
+                              for b in range(ncells)])
+            err, bound = _error_vs_budget(state, peak, exact,
+                                          self.rtol, self.atol)
+            assert np.all(err <= bound), (seed, err, bound)
+            worst_margin = min(worst_margin, float((1.0 - err / bound).min()))
+        print(f"expm oracle: margin {worst_margin:.1%} to the step-count "
+              f"bound over 24 batches")

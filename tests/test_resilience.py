@@ -221,6 +221,15 @@ def _stiff_batch_integrator():
     return BatchedBdfIntegrator(rhs, jac=jac, rtol=1e-7, atol=1e-12)
 
 
+def _step_to_mixed_orders(integ, state) -> None:
+    """Advance until the cells hold at least two distinct BDF orders, so
+    a snapshot there carries per-cell difference arrays of different
+    effective lengths."""
+    while len(np.unique(state.order)) < 2:
+        assert not state.finished, "cells never held two distinct orders"
+        integ.step_round(state)
+
+
 class TestMidIntegrationCheckpoint:
     """The Jacobian/LU-reuse caches survive a checkpoint bit-exactly."""
 
@@ -232,10 +241,12 @@ class TestMidIntegrationCheckpoint:
         y0 = rng.uniform(0.5, 2.0, (3, 2))
         integ = _stiff_batch_integrator()
         state = integ.start(y0, 0.0, 1.0)
+        # pause on the nrounds-th later round that still has mixed orders
+        _step_to_mixed_orders(integ, state)
         for _ in range(nrounds):
-            if state.finished:
-                break
             integ.step_round(state)
+            _step_to_mixed_orders(integ, state)
+        assert len(np.unique(state.order)) >= 2
         blob = encode_snapshot(state.snapshot())
         fresh = _stiff_batch_integrator().start(y0 * 0.0 + 1.0, 0.0, 2.0)
         fresh.restore(decode_snapshot(blob))
@@ -248,9 +259,8 @@ class TestMidIntegrationCheckpoint:
 
         interrupted = _stiff_batch_integrator()
         state = interrupted.start(y0, 0.0, 1.0)
-        for _ in range(5):
-            if not state.finished:
-                interrupted.step_round(state)
+        _step_to_mixed_orders(interrupted, state)
+        assert len(np.unique(state.order)) >= 2
         blob = encode_snapshot(state.snapshot())
 
         resumed = _stiff_batch_integrator()
