@@ -38,7 +38,7 @@ from repro.mpisim import (
     SimComm,
     balanced_block_grid,
     balanced_counts,
-    partition_from_labels,
+    partition_from_codes,
 )
 
 #: The 10-point node sweep of the full-machine curves: 8 nodes up to the
@@ -245,8 +245,11 @@ class GamessStrongScaling(ScalingWorkload):
         return balanced_counts(self.n_tasks, self.ranks_for(nodes))
 
     def build_partition(self, nodes: int) -> RankPartition:
-        labels = [f"tasks{c}" for c in self.task_counts(nodes).tolist()]
-        return partition_from_labels(labels)
+        # balanced counts take only two values, base and base+1
+        counts = self.task_counts(nodes)
+        lo = int(counts.min())
+        return partition_from_codes(counts - lo,
+                                    (f"tasks{lo}", f"tasks{lo + 1}"))
 
     def run(self, comm: SimComm, nodes: int, *, steps: int) -> None:
         counts = self.task_counts(nodes)

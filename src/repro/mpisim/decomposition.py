@@ -208,13 +208,13 @@ class BlockDecomposition:
                 parts.append(f"{axis}mid")
         return "/".join(parts)
 
-    def boundary_classes(self) -> np.ndarray:
-        """Vectorized :meth:`boundary_class` over every rank.
+    def boundary_codes(self) -> np.ndarray:
+        """Vectorized :meth:`boundary_class` over every rank, as codes.
 
-        Encodes each axis category (lo / mid / hi / degenerate ``*``) in
-        two bits and decodes through a 64-entry string table, so the
-        whole map costs a few array passes — the partitioner calls this
-        at full machine scale.
+        Each axis category (lo / mid / hi / degenerate ``*``) takes two
+        bits, x highest, so rank ``r``'s class is
+        ``BOUNDARY_CLASS_NAMES[boundary_codes()[r]]`` — a few array
+        passes, which is what the partitioner runs at full machine scale.
         """
         ranks = np.arange(self.nranks, dtype=np.int64)
         iz, rem = np.divmod(ranks, self.px * self.py)
@@ -226,12 +226,14 @@ class BlockDecomposition:
             else:
                 cat = np.where(c == 0, 0, np.where(c == p - 1, 2, 1))
             code = code * 4 + cat
-        names = ("lo", "mid", "hi", "*")
-        lut = np.array(["/".join(f"{axis}{names[(k >> shift) & 3]}"
-                                 for axis, shift in
-                                 (("x", 4), ("y", 2), ("z", 0)))
-                        for k in range(64)])
-        return lut[code]
+        return code
+
+
+#: :meth:`BlockDecomposition.boundary_class` names, by boundary code
+BOUNDARY_CLASS_NAMES = tuple(
+    "/".join(f"{axis}{('lo', 'mid', 'hi', '*')[(k >> shift) & 3]}"
+             for axis, shift in (("x", 4), ("y", 2), ("z", 0)))
+    for k in range(64))
 
 
 def balanced_block_grid(nranks: int) -> tuple[int, int, int]:

@@ -4,13 +4,16 @@
 :class:`~repro.mpisim.comm.SimComm` but holds data and clocks for only the
 ``R`` representative ranks a :class:`~repro.mpisim.partition.RankPartition`
 names, while the remaining ``P − R`` ranks are *modelled*: each mirrors
-its proxy representative (the round-robin assignment the partition
-records), so their clocks are exactly derivable from the live clocks and
-are reported as per-group ``(count, min, max, sum)`` aggregates
-(:meth:`ScaledComm.group_clocks`).  Every collective advances the whole
-machine in O(groups): the cost models in :mod:`repro.mpisim.costmodel`
-are evaluated at the **full** ``p`` (an allreduce over 9,074 × 8 ranks
-costs ``allreduce_time(p=72592, …)``) while compute executes on the
+its proxy representative (the partition's ``(P,)`` proxy-index array,
+round-robin in rank order), so their clocks are exactly derivable from
+the live clocks and are reported as per-group ``(count, min, max, sum)``
+aggregates (:meth:`ScaledComm.group_clocks`).  Per-rank questions —
+whose clock a modelled rank reads, which exemplar a fault lands on —
+are one lookup in that array; nothing per rank is a Python object.
+Every collective advances the whole machine in O(groups): the cost
+models in :mod:`repro.mpisim.costmodel` are evaluated at the **full**
+``p`` (an allreduce over 9,074 × 8 ranks costs
+``allreduce_time(p=72592, …)``) while compute executes on the
 exemplars only.
 
 Index conventions:
@@ -43,7 +46,7 @@ bookkeeping is decremented, and the next collective raises
 detection).  ``agree`` prices the consensus allreduce at the *machine*
 survivor count; ``shrink`` and ``split`` rebuild the survivor/color
 partition (renumbered densely, order preserved, matching SimComm), carry
-exemplar clocks over, promote the first surviving member of a group
+exemplar clocks over, promote the lowest surviving member of a group
 whose representatives all died, and record the global survivor ranks in
 ``parent_machine_ranks``.  The one documented approximation: mirrors of
 a *dead* representative still count as alive machine ranks, but their
@@ -68,7 +71,7 @@ from repro.mpisim.comm import (
     RankFailedError,
     SimComm,
 )
-from repro.mpisim.partition import RankGroup, RankPartition, all_live_partition
+from repro.mpisim.partition import RankPartition, all_live_partition
 from repro.mpisim.topology import Topology
 
 
@@ -112,29 +115,17 @@ class ScaledComm(SimComm):
         # the data plane is R ranks; the cost plane sees the full machine
         self.topology = Topology(nranks=nranks, ranks_per_node=ranks_per_node,
                                  fabric=fabric)
-        self._live = np.asarray(partition.live_ranks, dtype=np.int64)
+        self._live = partition.live
         self._modeled = partition.modeled_count > 0
-        #: modelled global rank -> proxy representative's global rank,
-        #: built lazily: only the neighbor-exchange path dereferences
-        #: individual modelled ranks, so collective-only campaigns never
-        #: pay the O(P) map construction.
-        self._proxy_of: dict[int, int] | None = None
-        self._group_rep_idx: list[np.ndarray] = []
-        self._group_rep_proxy: list[np.ndarray] = []
-        for g in partition.groups:
-            counts = g.proxy_counts()
-            self._group_rep_idx.append(np.asarray(
-                [partition.live_index[r] for r in g.representatives],
-                dtype=np.int64))
-            self._group_rep_proxy.append(np.asarray(
-                [counts[r] for r in g.representatives], dtype=np.int64))
+        #: live slot every machine rank reads its clock from
+        self._proxy = partition.proxy_index
         # per-collective hot path: the internode link and the integer
         # weights are invariants of the communicator, not of the call
         # (degradation windows route through _collective_link, so the
         # cache never serves stale bandwidth during a fault window)
         self._internode_link = self.topology.internode_link(
             device_buffers=device_buffers)
-        self._weights_int = [int(w) for w in partition.weights]
+        self._weights_int = partition.weights.tolist()
         #: dead *modelled* ranks, by global machine rank
         self._machine_failed: set[int] = set()
         #: per-exemplar count of its mirrors that are currently dead
@@ -165,23 +156,24 @@ class ScaledComm(SimComm):
         Modelled ranks mirror their proxy representatives, so the
         aggregates derive from the live clocks in O(R).
         """
+        part = self.partition
         out = []
-        for g, idx, proxies in zip(self.partition.groups,
-                                   self._group_rep_idx, self._group_rep_proxy):
+        for name, idx in zip(part.names, part.group_live_slots()):
+            proxies = part.weights[idx] - 1
             mask = proxies > 0
             if not mask.any():
-                out.append(GroupClock(g.name, 0, 0.0, 0.0, 0.0))
+                out.append(GroupClock(name, 0, 0.0, 0.0, 0.0))
                 continue
             mirrored = self.clocks[idx[mask]]
             out.append(GroupClock(
-                g.name, int(proxies.sum()),
+                name, int(proxies.sum()),
                 float(mirrored.min()), float(mirrored.max()),
                 float(self.clocks[idx] @ proxies)))
         return tuple(out)
 
     def describe(self) -> str:
         return (f"ScaledComm(P={self.machine_ranks}, R={self.nranks}, "
-                f"groups={len(self.partition.groups)})")
+                f"groups={len(self.partition.names)})")
 
     # -- full-machine cost plane --------------------------------------------------
 
@@ -340,44 +332,18 @@ class ScaledComm(SimComm):
 
     # -- neighbor exchange (global-rank callable) ----------------------------------
 
-    def _proxy_map(self) -> dict[int, int]:
-        if self._proxy_of is None:
-            proxy_of: dict[int, int] = {}
-            for g in self.partition.groups:
-                proxy_of.update(g.proxy_assignment())
-            self._proxy_of = proxy_of
-        return self._proxy_of
-
     def _clock_estimate(self, global_rank: int, clocks: np.ndarray) -> float:
         """Current clock of any machine rank: live ranks read directly,
         modelled ranks mirror their proxy representative."""
-        idx = self.partition.live_index.get(global_rank)
-        if idx is None:
-            idx = self.partition.live_index[self._proxy_map()[global_rank]]
-        return float(clocks[idx])
+        return float(clocks[self._proxy[global_rank]])
 
     def proxy_live_indices(self) -> np.ndarray:
         """Live index every machine rank reads its clock from —
         representatives map to themselves, modelled ranks to their
-        round-robin proxy.  ``(machine_ranks,)`` int64, built vectorized
-        per group (the elastic layer folds machine-pair traffic onto
-        exemplar pairs through this map)."""
-        out = np.empty(self.machine_ranks, dtype=np.int64)
-        live_index = self.partition.live_index
-        for g in self.partition.groups:
-            reps = g.representatives
-            rep_idx = np.asarray([live_index[r] for r in reps],
-                                 dtype=np.int64)
-            for r, idx in zip(reps, rep_idx):
-                out[r] = idx
-            members = np.asarray(g.members, dtype=np.int64)
-            modeled = members[~np.isin(members,
-                                       np.asarray(reps, dtype=np.int64))]
-            if modeled.size:
-                # same order as RankGroup.proxy_assignment (round-robin
-                # over modelled members in member order)
-                out[modeled] = rep_idx[np.arange(modeled.size) % len(reps)]
-        return out
+        round-robin proxy.  The partition's read-only ``(machine_ranks,)``
+        int64 proxy index (the elastic layer folds machine-pair traffic
+        onto exemplar pairs through this map)."""
+        return self._proxy
 
     def ineighbor_exchange(self, partners_of: Callable[[int], Sequence[int]],
                            nbytes: float, *,
@@ -424,9 +390,9 @@ class ScaledComm(SimComm):
         tr = self.tracer
         if tr is None:
             return
-        group_of = self.partition.group_of
-        gsrc = self.partition.groups[int(group_of[self._live[src]])].name
-        gdst = self.partition.groups[int(group_of[self._live[dst]])].name
+        group_of, names = self.partition.group_of, self.partition.names
+        gsrc = names[int(group_of[self._live[src]])]
+        gdst = names[int(group_of[self._live[dst]])]
         tr.record(name, start, t, cat="mpisim", pid="mpisim",
                   tid=f"group:{gdst}", src=int(self._live[src]),
                   dst=int(self._live[dst]), nbytes=float(nbytes))
@@ -453,15 +419,14 @@ class ScaledComm(SimComm):
         rank = int(rank)
         if not 0 <= rank < self.machine_ranks:
             raise CommError(f"rank {rank} out of range")
-        idx = self.partition.live_index.get(rank)
-        if idx is not None:
+        idx = int(self._proxy[rank])
+        if self._live[idx] == rank:
             self.failed[idx] = True
             return
         if rank in self._machine_failed:
             return
         self._machine_failed.add(rank)
-        pidx = self.partition.live_index[self._proxy_map()[rank]]
-        self._dead_mirrors[pidx] += 1
+        self._dead_mirrors[idx] += 1
 
     def restore_rank(self, rank: int) -> None:
         """Replace a failed machine rank (global numbering); a revived
@@ -473,16 +438,15 @@ class ScaledComm(SimComm):
         rank = int(rank)
         if not 0 <= rank < self.machine_ranks:
             raise CommError(f"rank {rank} out of range")
-        idx = self.partition.live_index.get(rank)
-        if idx is not None:
+        idx = int(self._proxy[rank])
+        if self._live[idx] == rank:
             self.failed[idx] = False
             self.clocks[idx] = float(self.clocks.max())
             return
         if rank not in self._machine_failed:
             return
         self._machine_failed.discard(rank)
-        pidx = self.partition.live_index[self._proxy_map()[rank]]
-        self._dead_mirrors[pidx] -= 1
+        self._dead_mirrors[idx] -= 1
 
     def failed_ranks(self) -> list[int]:
         if not self._modeled:
@@ -552,7 +516,7 @@ class ScaledComm(SimComm):
         then rebuild the partition over the global survivors (dense
         renumbering preserving order — the same contract as SimComm and
         :func:`~repro.mpisim.decomposition.block_owners`).  Groups whose
-        representatives all died promote their first surviving member;
+        representatives all died promote their lowest surviving member;
         ``parent_machine_ranks`` maps new machine ranks back to this
         communicator's global numbering."""
         if not self._modeled:
@@ -568,7 +532,7 @@ class ScaledComm(SimComm):
         called for every rank ``0..P-1``, consistent with SimComm where
         indices and machine ranks coincide).  Each color keeps the
         induced partition: old groups intersected with the color's
-        members, representatives promoted where a color captured only
+        members, the lowest member promoted where a color captured only
         modelled ranks."""
         if not self._modeled:
             return super().split(color_of, shared_stats=shared_stats)
@@ -586,44 +550,17 @@ class ScaledComm(SimComm):
         densely in rank order, with the partition induced by
         intersecting each group with *members*.  Representative clocks
         carry over; a group left without representatives promotes its
-        first surviving member at its proxy's clock."""
+        lowest surviving member at its proxy's clock."""
         members = np.asarray(members, dtype=np.int64)
         if members.size == 0:
             raise CommError("sub-communicator needs at least one rank")
-        remap = np.full(self.machine_ranks, -1, dtype=np.int64)
-        remap[members] = np.arange(members.size, dtype=np.int64)
-        live_index = self.partition.live_index
-        new_groups: list[RankGroup] = []
-        rep_clocks: dict[int, float] = {}
-        for g in self.partition.groups:
-            mem = np.asarray(g.members, dtype=np.int64)
-            keep = mem[remap[mem] >= 0]
-            if keep.size == 0:
-                continue
-            new_members = tuple(int(r) for r in remap[keep])
-            surviving_reps = [r for r in g.representatives if remap[r] >= 0]
-            if surviving_reps:
-                new_reps = []
-                for old in surviving_reps:
-                    new = int(remap[old])
-                    new_reps.append(new)
-                    rep_clocks[new] = float(self.clocks[live_index[old]])
-            else:
-                promoted = int(keep[0])
-                new_reps = [int(remap[promoted])]
-                rep_clocks[new_reps[0]] = self._clock_estimate(
-                    promoted, self.clocks)
-            new_groups.append(RankGroup(g.name, new_members,
-                                        tuple(new_reps)))
-        partition = RankPartition(nranks=int(members.size),
-                                  groups=tuple(new_groups))
+        partition, carried = self.partition.induced(members)
         sub = ScaledComm(int(members.size), self.topology.fabric,
                          ranks_per_node=self.topology.ranks_per_node,
                          device_buffers=self.device_buffers,
                          tracer=self.tracer, partition=partition)
-        sub.clocks = np.asarray([rep_clocks[r] for r in partition.live_ranks],
-                                dtype=float)
-        sub.parent_machine_ranks = tuple(int(r) for r in members)
+        sub.clocks = self.clocks[carried]
+        sub.parent_machine_ranks = tuple(members.tolist())
         if shared_stats:
             sub.stats = self.stats
         return sub

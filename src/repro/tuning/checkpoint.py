@@ -11,10 +11,10 @@ cross-check (the recorded ``w_star_steps`` and agreement factor).
 Because campaigns are stochastic under fault injection, the search is
 :func:`~repro.tuning.search.successive_halving` over rising fidelity
 (more steps, more seeds): every candidate gets a cheap measurement, the
-surviving half a trustworthy one.  Calibration mirrors
-:mod:`repro.experiments.resilience_at_scale`: checkpoint cost δ is pinned
-to ``CHECKPOINT_STEP_FRACTION`` of a step and the timescale is compressed
-so Young/Daly's W* lands near :data:`TARGET_WSTAR_STEPS` steps — cheap but
+surviving half a trustworthy one.  Campaigns and calibration are
+:mod:`repro.experiments.resilience_at_scale`'s: checkpoint cost δ is a
+fixed fraction of a step and the timescale is compressed so Young/Daly's
+W* lands near :data:`TARGET_WSTAR_STEPS` steps — cheap but
 discriminating.
 
 The untuned baseline is the conservative default of a team that has not
@@ -29,22 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.exasky import ExaskyCampaign
 from repro.hardware.machine import MachineSpec
-from repro.mpisim.partition import RankGroupPartitioner
-from repro.mpisim.scaled import ScaledComm
-from repro.resilience.daly import scaled_fault_injector, system_mtbf
-from repro.resilience.runner import CheckpointCostModel, ResilientRunner
-from repro.resilience.snapshot import encode_snapshot
+from repro.resilience.daly import system_mtbf
+from repro.resilience.runner import CheckpointCostModel
 from repro.tuning.search import successive_halving
 
 #: the compression anchor: steps of compute W* prescribes between
 #: checkpoints (same constant as experiments.resilience_at_scale)
 TARGET_WSTAR_STEPS = 8
-#: checkpoint write cost delta as a fraction of one step's cost
-CHECKPOINT_STEP_FRACTION = 0.25
-#: scheduler relaunch cost as a fraction of one step's cost
-RESTART_STEP_FRACTION = 0.5
 #: the untuned baseline: checkpoint after every step
 DEFAULT_INTERVAL_STEPS = 1
 #: interval candidates as multiples of the W* anchor
@@ -92,55 +84,42 @@ class CheckpointTuningResult:
         return max(best / self.w_star_steps, self.w_star_steps / best)
 
 
-def _campaign_overhead(machine: MachineSpec, *, interval_steps: int,
-                       nsteps: int, seed: int, time_compression: float,
-                       nparticles: int,
-                       cost_model: CheckpointCostModel) -> float:
-    app = ExaskyCampaign(nparticles=nparticles, seed=seed)
-    ranks = machine.nodes * max(machine.node.gpus_per_node, 1)
-    part = RankGroupPartitioner("endpoints").partition(ranks)
-    comm = ScaledComm(
-        ranks, machine.node.interconnect,
-        ranks_per_node=max(machine.node.gpus_per_node, 1),
-        device_buffers=machine.node.has_gpus, partition=part,
-    )
-    injector = scaled_fault_injector(
-        np.random.default_rng(seed), machine,
-        machine_ranks=comm.machine_ranks,
-        time_compression=time_compression,
-    )
-    runner = ResilientRunner(
-        app, checkpoint_interval=interval_steps, injector=injector,
-        cost_model=cost_model, comm=comm, policy="restart",
-        backoff_base=0.0, max_retries=64,
-    )
-    return runner.run(nsteps).overhead_fraction
-
-
 def _calibration(machine: MachineSpec,
                  nparticles: int) -> tuple[float, CheckpointCostModel, float]:
     """``(step_cost, cost_model, time_compression)`` for this machine.
 
-    The cost model is built backwards from the campaign's actual snapshot
-    size so a checkpoint write costs exactly ``CHECKPOINT_STEP_FRACTION``
-    steps, and the compression maps the machine's real system MTBF onto a
-    timescale where W* sits at ``TARGET_WSTAR_STEPS`` steps — preserving
-    the 1/N failure composition while campaigns run in seconds.
+    The step and checkpoint costs are the Daly validation's
+    (:func:`repro.experiments.resilience_at_scale._calibrate`); the
+    compression maps the machine's real system MTBF onto a timescale
+    where W* sits at ``TARGET_WSTAR_STEPS`` steps — preserving the 1/N
+    failure composition while campaigns run in seconds.
     """
-    probe = ExaskyCampaign(nparticles=nparticles, seed=0)
-    dt_step = float(probe.step_cost)
-    nbytes = len(encode_snapshot(probe.snapshot()))
-    delta = CHECKPOINT_STEP_FRACTION * dt_step
-    cost_model = CheckpointCostModel(
-        write_bandwidth=nbytes / delta,
-        read_bandwidth=nbytes / delta,
-        latency=0.0,
-        restart_cost=RESTART_STEP_FRACTION * dt_step,
-    )
+    # imported here: repro.experiments imports this package at load time
+    from repro.experiments.resilience_at_scale import _calibrate
+
+    dt_step, delta, cost_model = _calibrate(nparticles)
     w_star = TARGET_WSTAR_STEPS * dt_step
     m_eff = w_star * w_star / (2.0 * delta)
     compression = system_mtbf(machine) / m_eff
     return dt_step, cost_model, compression
+
+
+def _mean_overhead(machine: MachineSpec, interval_steps: int,
+                   fidelity: CheckpointFidelity, *, nparticles: int,
+                   compression: float,
+                   cost_model: CheckpointCostModel) -> float:
+    """Mean overhead fraction of the fidelity's seeded campaigns — the
+    Daly validation's own endpoints-ScaledComm campaign."""
+    from repro.experiments.resilience_at_scale import _run_campaign
+
+    return float(np.mean([
+        _run_campaign(
+            machine, interval_steps=interval_steps, nsteps=fidelity.nsteps,
+            seed=seed, time_compression=compression, nparticles=nparticles,
+            cost_model=cost_model,
+        ).overhead_fraction
+        for seed in fidelity.seeds
+    ]))
 
 
 def tune_checkpoint_interval(
@@ -161,16 +140,9 @@ def tune_checkpoint_interval(
     })
 
     def objective(interval: int, rung: object) -> float:
-        fid: CheckpointFidelity = rung  # type: ignore[assignment]
-        overheads = [
-            _campaign_overhead(
-                machine, interval_steps=interval, nsteps=fid.nsteps,
-                seed=seed, time_compression=compression,
-                nparticles=nparticles, cost_model=cost_model,
-            )
-            for seed in fid.seeds
-        ]
-        return float(np.mean(overheads))
+        return _mean_overhead(machine, interval, rung,  # type: ignore[arg-type]
+                              nparticles=nparticles, compression=compression,
+                              cost_model=cost_model)
 
     result, _ = successive_halving(candidates, objective, rungs)
     final = rungs[-1]
@@ -201,12 +173,6 @@ def measure_overhead(machine: MachineSpec, interval_steps: int,
     fidelity).
     """
     _, cost_model, compression = _calibration(machine, nparticles)
-    overheads = [
-        _campaign_overhead(
-            machine, interval_steps=interval_steps, nsteps=fidelity.nsteps,
-            seed=seed, time_compression=compression, nparticles=nparticles,
-            cost_model=cost_model,
-        )
-        for seed in fidelity.seeds
-    ]
-    return float(np.mean(overheads))
+    return _mean_overhead(machine, interval_steps, fidelity,
+                          nparticles=nparticles, compression=compression,
+                          cost_model=cost_model)

@@ -21,6 +21,7 @@ from repro.mpisim import (
     partition_from_labels,
     verify_assignments,
 )
+from repro.mpisim.decomposition import BOUNDARY_CLASS_NAMES
 from repro.observability.tracer import Tracer
 
 
@@ -30,14 +31,20 @@ from repro.observability.tracer import Tracer
 class TestRankGroup:
     def test_proxy_assignment_round_robin(self):
         g = RankGroup("g", members=(0, 1, 2, 3, 4, 5), representatives=(0, 3))
-        assert g.proxy_assignment() == {1: 0, 2: 3, 4: 0, 5: 3}
-        assert g.proxy_counts() == {0: 2, 3: 2}
+        p = RankPartition(6, (g,))
+        proxy_rank = p.live[p.proxy_index]
+        assert {m: int(proxy_rank[m]) for m in (1, 2, 4, 5)} == {
+            1: 0, 2: 3, 4: 0, 5: 3}
+        assert dict(zip(p.live_ranks, (p.weights - 1).tolist())) == {
+            0: 2, 3: 2}
         assert g.modeled_count == 4
 
     def test_all_live_group_has_no_proxies(self):
         g = RankGroup("g", members=(0, 1), representatives=(0, 1))
-        assert g.proxy_assignment() == {}
-        assert g.proxy_counts() == {0: 0, 1: 0}
+        p = RankPartition(2, (g,))
+        assert p.proxy_index.tolist() == [0, 1]
+        assert dict(zip(p.live_ranks, (p.weights - 1).tolist())) == {
+            0: 0, 1: 0}
 
 
 class TestVerifyAssignments:
@@ -73,6 +80,42 @@ class TestVerifyAssignments:
     def test_verify_is_callable_directly(self):
         p = all_live_partition(3)
         verify_assignments(p)  # no raise
+
+    def test_repeated_representative_rejected(self):
+        # would leave live_ranks == (0, 0) and weights summing to 2 on a
+        # 3-rank machine: one rank silently missing from every fold
+        with pytest.raises(PartitionError, match="'a' repeats a representative"):
+            RankPartition(3, (RankGroup("a", (0, 1, 2), (0, 0)),))
+
+    @pytest.mark.parametrize("members", [(0, 1.5), (0.0, 1.0), ("0", "1")])
+    def test_non_integer_members_rejected(self, members):
+        with pytest.raises(PartitionError, match="'a' has non-integer members"):
+            RankPartition(2, (RankGroup("a", members, (0,)),))
+
+    def test_non_integer_representatives_rejected(self):
+        with pytest.raises(PartitionError,
+                           match="'a' has non-integer representatives"):
+            RankPartition(2, (RankGroup("a", (0, 1), (0.5,)),))
+
+    def test_codes_must_name_groups(self):
+        with pytest.raises(PartitionError, match="codes outside"):
+            RankPartition.from_codes(np.array([0, 2]), ("a", "b"), ((0,), (1,)))
+        with pytest.raises(PartitionError, match="codes must be integers"):
+            RankPartition.from_codes(np.array([0.7, 1.2]), ("a", "b"),
+                                     ((0,), (1,)))
+
+    def test_code_built_representative_outside_group_rejected(self):
+        with pytest.raises(PartitionError, match="'b' names representatives"):
+            RankPartition.from_codes(np.array([0, 1]), ("a", "b"), ((0,), (0,)))
+
+    def test_members_are_read_only_views(self):
+        p = RankGroupPartitioner("endpoints").partition(8)
+        interior = p.groups[p.names.index("interior")]
+        assert interior.members.tolist() == list(range(1, 7))
+        with pytest.raises(ValueError):
+            interior.members[0] = 5
+        with pytest.raises(ValueError):
+            p.proxy_index[0] = 1
 
 
 class TestPartitioners:
@@ -115,6 +158,53 @@ class TestPartitioners:
         dec = BlockDecomposition(nx=2, ny=2, nz=2, px=2, py=2, pz=2)
         p = RankGroupPartitioner().partition(8, decomposition=dec)
         assert len(p.groups) == 8  # every corner is its own class
+
+    @pytest.mark.parametrize("live_per_group", [1, 2, 3])
+    @pytest.mark.parametrize("nranks", [1, 2, 3, 8, 17, 64, 96])
+    def test_weights_cover_every_rank(self, nranks, live_per_group):
+        """Every partitioner's weights add up to the machine."""
+        grid = balanced_block_grid(nranks)
+        dec = BlockDecomposition(nx=grid[0], ny=grid[1], nz=grid[2],
+                                 px=grid[0], py=grid[1], pz=grid[2])
+        built = [
+            RankGroupPartitioner(strategy, live_per_group).partition(
+                nranks, decomposition=dec, ranks_per_node=8)
+            for strategy in ("auto", "block3d", "node-role", "endpoints")
+        ]
+        built += [
+            all_live_partition(nranks),
+            partition_from_labels([r % 5 for r in range(nranks)],
+                                  live_per_group=live_per_group),
+            partition_from_labels([f"c{r % 3}" for r in range(nranks)],
+                                  live_per_group=live_per_group),
+        ]
+        for p in built:
+            assert int(p.weights.sum()) == nranks
+            assert np.bincount(p.proxy_index, minlength=p.nlive).tolist() \
+                == p.weights.tolist()
+
+    def test_block3d_codes_name_scalar_classes(self):
+        dec = BlockDecomposition(nx=4, ny=3, nz=1, px=4, py=3, pz=1)
+        codes = dec.boundary_codes()
+        assert [BOUNDARY_CLASS_NAMES[c] for c in codes] == [
+            dec.boundary_class(r) for r in range(dec.nranks)]
+        p = RankGroupPartitioner("block3d").partition(12, decomposition=dec)
+        assert p.names == tuple(sorted(set(dec.boundary_class(r)
+                                           for r in range(12))))
+
+    @pytest.mark.parametrize("nodes", [8, 512, 9074])
+    def test_gamess_codes_match_string_labels(self, nodes):
+        """GAMESS builds its two task-count classes from codes; they
+        match grouping the ranks by their ``tasks<count>`` labels."""
+        from repro.experiments.scaling import GamessStrongScaling
+
+        gamess = GamessStrongScaling()
+        by_codes = gamess.build_partition(nodes)
+        by_str = partition_from_labels(
+            [f"tasks{c}" for c in gamess.task_counts(nodes).tolist()])
+        assert by_codes.names == by_str.names
+        assert by_codes.group_of.tolist() == by_str.group_of.tolist()
+        assert by_codes.live_ranks == by_str.live_ranks
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(PartitionError, match="unknown strategy"):
