@@ -17,8 +17,8 @@ implements the repo's three proven hot-kernel families:
   handful of fused array sweeps, replacing the unrolled generated
   kernel's hundreds of tiny array ops (the launch-overhead pathology
   §3.8 describes, in numpy form);
-* **bit-plane popcount tallies** — CoMet's count-GEMM word sweeps
-  (§3.6) as one fused AND+popcount+reduce pass;
+* **bit-plane popcount tallies** — CoMet's count GEMMs (§3.6) over the
+  packed per-state bit planes, integer exact;
 * **pairwise short-range forces** — the HACC/ExaSky direct kernels
   (§3.4).
 

@@ -9,9 +9,14 @@ Every kernel here is *fused* relative to the paths it replaced:
 * the Newton solve path trades the 2n-einsum triangular sweeps for one
   batched inversion per refactorization plus a single matmul per
   iteration;
-* the popcount tallies AND/popcount/reduce *all* state pairs in one
-  broadcast sweep over (n·S)-row word blocks instead of S² separate
-  pack-then-AND-then-popcount temporaries.
+* the popcount tallies run on the matrix engine: each field block of the
+  packed words unpacks to 0/1 fp32 bit planes, and GEMMs cover every
+  state pair at once (2-way ``P @ P.T``; 3-way the Hadamard pair plane
+  against all pivot planes).  Every partial sum is an integer of at most
+  2²⁴, so fp32 is exact under any BLAS blocking; blocks add up in int64;
+* the pair forces sweep dense row blocks of the upper triangle and
+  reduce them by row and column sums, instead of gathering an O(n²)
+  pair-index list and scattering back with ``np.add.at``.
 
 The bit-exact LU factor/solve reference lives in
 :mod:`repro.linalg.batched`; this backend re-exports it so alternate
@@ -20,14 +25,12 @@ backends have a single semantic anchor.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 from scipy.special import erfc
 
 from repro.backend.base import ArrayBackend, ChemRateTables, FusedRatesKernel
 
-# -- popcount primitives (shared with repro.similarity.gemmtally) -----------
+# -- popcount primitives (compiled backends and the tally parity tests) -----
 
 #: Byte-popcount lookup, built once at import (never per engine instance).
 POP8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint8)
@@ -43,16 +46,30 @@ else:  # pragma: no cover - exercised only on numpy 1.x
         return POP8[words.view(np.uint8)].reshape(*words.shape, 8).sum(axis=-1)
 
 
-#: Word-sweep temporary budget (elements) for the fused tally kernels.
+#: Element budget of one field block's unpacked fp32 plane in the tallies.
 _SWEEP_BUDGET = 1 << 24
+#: fp32 holds every integer up to 2²⁴ exactly, so a field block of at most
+#: this many fields keeps every GEMM partial sum exact.
+_FP32_EXACT_FIELDS = 1 << 24
+#: Element budget of one row block of the dense pair-force sweep.
+_PAIR_BUDGET = 1 << 15
 
 
-@lru_cache(maxsize=128)
-def triu_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized ``np.triu_indices(n, k=1)`` — campaigns evaluate forces
-    for the same particle count thousands of times; callers must treat
-    the returned arrays as read-only."""
-    return np.triu_indices(n, k=1)
+def field_block_words(rows: int) -> int:
+    """Words per field block for an unpacked ``(rows, 64·words)`` plane.
+
+    Bounded by :data:`_SWEEP_BUDGET` elements and by the fp32 exactness
+    limit of 2²⁴ fields; never below one word.
+    """
+    return max(1, min(_FP32_EXACT_FIELDS // 64,
+                      _SWEEP_BUDGET // (64 * max(1, rows))))
+
+
+def unpack_planes(words: np.ndarray) -> np.ndarray:
+    """``(..., W)`` uint64 bit planes → ``(..., 64·W)`` 0/1 float32."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1,
+                         bitorder="little").astype(np.float32)
 
 
 def short_range_pair_magnitude(r: np.ndarray, rs: float, *,
@@ -119,27 +136,31 @@ class NumpyBackend(ArrayBackend):
 
     def popcount_tallies_2way(self, words: np.ndarray) -> np.ndarray:
         n, S, W = words.shape
-        flat = words.reshape(n * S, W)
         counts = np.zeros((n * S, n * S), dtype=np.int64)
-        block = max(1, _SWEEP_BUDGET // max(1, (n * S) ** 2))
-        for w0 in range(0, W, block):
-            blk = flat[:, w0:w0 + block]
-            counts += popcount_words(blk[:, None, :] & blk[None, :, :]).sum(
-                axis=-1, dtype=np.int64)
+        step = field_block_words(n * S)
+        for w0 in range(0, W, step):
+            p = unpack_planes(words[..., w0:w0 + step]).reshape(n * S, -1)
+            np.add(counts, p @ p.T, out=counts, casting="unsafe")
         return np.ascontiguousarray(
             counts.reshape(n, S, n, S).transpose(1, 3, 0, 2))
 
     def popcount_tallies_3way(self, words: np.ndarray) -> np.ndarray:
-        n, S, _ = words.shape
-        counts = np.empty((S,) * 3 + (n,) * 3, dtype=np.int64)
-        for s in range(S):
-            for t in range(S):
-                pair = words[:, s, None, :] & words[None, :, t, :]
-                for u in range(S):
-                    tri = pair[:, :, None, :] & words[None, None, :, u, :]
-                    counts[s, t, u] = popcount_words(tri).sum(
-                        axis=-1, dtype=np.int64)
-        return counts
+        n, S, W = words.shape
+        # acc[s, t, (i, j), (u, k)]: pair plane (s, t) against pivot u
+        acc = np.zeros((S, S, n * n, S * n), dtype=np.int64)
+        step = field_block_words(n * max(n, S))
+        for w0 in range(0, W, step):
+            planes = unpack_planes(
+                words[..., w0:w0 + step].transpose(1, 0, 2))  # (S, n, F)
+            pivots = planes.reshape(S * n, -1).T              # (F, S·n)
+            pair = np.empty((n, n, planes.shape[-1]), dtype=np.float32)
+            for s in range(S):
+                for t in range(S):
+                    np.multiply(planes[s, :, None], planes[t, None], out=pair)
+                    np.add(acc[s, t], pair.reshape(n * n, -1) @ pivots,
+                           out=acc[s, t], casting="unsafe")
+        return np.ascontiguousarray(
+            acc.reshape(S, S, n, n, S, n).transpose(0, 1, 4, 2, 3, 5))
 
     # -- pairwise short-range forces --------------------------------------
 
@@ -151,21 +172,31 @@ class NumpyBackend(ArrayBackend):
         forces = np.zeros_like(x)
         if n < 2:
             return forces
-        ii, jj = triu_pairs(n)
-        d = x[jj] - x[ii]
-        if box_size is not None:
-            d -= box_size * np.round(d / box_size)
-        r = np.sqrt((d * d).sum(axis=1))
-        keep = r > 0.0
-        if cutoff is not None:
-            keep &= r < cutoff
-        ii, jj, d, r = ii[keep], jj[keep], d[keep], r[keep]
-        if rs is not None:
-            fmag = masses[ii] * masses[jj] * short_range_pair_magnitude(
-                r, rs, G=G)
-            fvec = (fmag / r)[:, None] * d
-        else:
-            fvec = (G * masses[ii] * masses[jj] / r**3)[:, None] * d
-        np.add.at(forces, ii, fvec)
-        np.add.at(forces, jj, -fvec)
+        xt = np.ascontiguousarray(x.T)                        # (dim, n) SoA
+        rows = max(1, min(n, _PAIR_BUDGET // n))
+        upper = np.triu(np.ones((rows, rows), dtype=bool), k=1)
+        cut2 = np.inf if cutoff is None else cutoff * cutoff
+        for i0 in range(0, n - 1, rows):
+            i1 = min(i0 + rows, n)
+            d = xt[:, None, i0:] - xt[:, i0:i1, None]         # x[j] - x[i]
+            if box_size is not None:
+                shift = d / box_size
+                np.rint(shift, out=shift)
+                shift *= box_size
+                d -= shift
+            r2 = (d * d).sum(axis=0)                          # (R, n - i0)
+            keep = r2 < cut2
+            keep &= r2 > 0.0
+            keep[:, :i1 - i0] &= upper[:i1 - i0, :i1 - i0]    # j > i only
+            r = np.sqrt(r2[keep])
+            block = np.zeros_like(r2)
+            if rs is not None:
+                block[keep] = short_range_pair_magnitude(r, rs, G=G) / r
+            else:
+                block[keep] = G / r**3
+            block *= masses[i0:i1, None]
+            block *= masses[None, i0:]
+            f = block * d                                     # (dim, R, n - i0)
+            forces[i0:i1] += f.sum(axis=2).T
+            forces[i0:] -= f.sum(axis=1).T
         return forces

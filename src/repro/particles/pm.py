@@ -120,9 +120,10 @@ def short_range_forces(x: np.ndarray, masses: np.ndarray, box_size: float, *,
     """Direct short-range sum within the cutoff (minimum image).
 
     The default path dispatches to the array backend's fused pairwise
-    kernel: every i<j pair at once on memoized triangular indices (one
-    erfc sweep over the surviving separations, scatter-added back) — the
-    HACC short-range kernel recast as array sweeps.
+    kernel: the numpy kernel sweeps dense row blocks of the i<j triangle,
+    evaluates erfc only on the separations inside the cutoff, and reduces
+    each block by row and column sums — the HACC short-range kernel
+    recast as array sweeps.
     ``vectorized=False`` is the original per-pair Python loop, kept as
     the ablation the benchmark measures against.
     """
@@ -164,7 +165,7 @@ def direct_forces(x: np.ndarray, masses: np.ndarray, *, G: float = 1.0,
                   backend: "str | ArrayBackend | None" = None) -> np.ndarray:
     """Open-boundary direct sum (reference for isolated configurations).
 
-    Same backend-dispatched triangular broadcasting as
+    Same backend-dispatched row-blocked pair sweep as
     :func:`short_range_forces` (no splitting filter, no cutoff);
     ``vectorized=False`` keeps the naive pair loop for ablation.
     """

@@ -11,6 +11,9 @@ formulations of that move:
   indicator row is packed 64 fields per ``uint64`` word; the (s, t) tally
   matrix is ``popcount(A_s[i] & A_t[j])`` summed over words.  Integer
   exact by construction, with a 64× data compression over one-hot bytes.
+  The numpy backend counts these planes on the matrix engine instead:
+  each field block unpacks to 0/1 fp32 and one GEMM covers every state
+  pair, exact because no partial sum exceeds 2²⁴.
 * **batched einsum/matmul contractions** (the FP16/Int8 tensor-core GEMM):
   the (S, n, m) one-hot stack contracts in ONE batched matmul to the full
   (S, S, n, n) tally tensor — one fused contraction per state pair, never
@@ -19,8 +22,8 @@ formulations of that move:
 The 3-way CCC tallies factor the same way: for each state triple
 (s, t, u) the count tensor is ``Σ_m A_s[i,m]·A_t[j,m]·A_u[k,m]``, computed
 as one (n²×m)·(m×n) GEMM on the Hadamard pair plane (the masked-GEMM
-batching CoMet uses to map 3-way metrics onto matrix engines) or as a
-three-operand popcount sweep on the packed words.
+batching CoMet uses to map 3-way metrics onto matrix engines), on the
+one-hot stack or on the unpacked bit planes.
 
 Fields whose value falls outside ``[0, n_states)`` are treated as missing
 (CoMet's sparse-input handling): they belong to no state plane and are
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
-from repro.backend.numpy_backend import popcount_words as _popcount
 from repro.gpu.kernel import KernelSpec
 from repro.hardware.gpu import Precision
 from repro.observability.tracer import NULL_TRACER, Tracer
@@ -96,13 +98,15 @@ def pack_alleles(data: np.ndarray, *, n_states: int = 2) -> PackedAlleles:
 def popcount_tallies_2way(packed: PackedAlleles, *,
                           backend: "str | ArrayBackend | None" = None
                           ) -> np.ndarray:
-    """All-pairs 2-way tallies by popcount-on-AND word sweeps.
+    """All-pairs 2-way tallies from the packed bit planes.
 
     Returns int64 ``counts[s, t, i, j]`` = #fields with vector i in state s
-    and vector j in state t.  Dispatched to the array backend's fused
-    kernel: one broadcast sweep over the (n·S)-row word planes covers
-    *every* state pair at once (word-block chunked), instead of S²
-    separate AND/popcount temporaries.  Integer exact on every backend.
+    and vector j in state t.  Dispatched to the array backend.  The numpy
+    kernel unpacks each field block of the (n·S)-row word planes to 0/1
+    fp32 and takes one ``P @ P.T`` GEMM that covers *every* state pair at
+    once; each partial sum is an integer of at most 2²⁴, so it is exact
+    in fp32 and the blocks add up in int64.  Integer exact on every
+    backend.
     """
     return resolve_backend(backend).popcount_tallies_2way(packed.words)
 
@@ -110,12 +114,14 @@ def popcount_tallies_2way(packed: PackedAlleles, *,
 def popcount_tallies_3way(packed: PackedAlleles, *,
                           backend: "str | ArrayBackend | None" = None
                           ) -> np.ndarray:
-    """All-triples 3-way tallies by three-operand popcount sweeps.
+    """All-triples 3-way tallies from the packed bit planes.
 
     Returns int64 ``counts[s, t, u, i, j, k]``.  Backend-dispatched; the
-    reference kernel reuses the ``A_s[i] & A_t[j]`` pair plane across the
-    pivot axis, so each state triple costs one (n, n, n, W) AND+popcount
-    sweep.
+    numpy kernel forms the Hadamard pair plane ``P_s[i] ⊙ P_t[j]`` of
+    each state pair once per field block and contracts it against all S
+    pivot planes in one (n²×fields)·(fields×n·S) fp32 GEMM — CoMet's
+    masked-GEMM batching — with the same exact field blocking as
+    :func:`popcount_tallies_2way`.
     """
     return resolve_backend(backend).popcount_tallies_3way(packed.words)
 

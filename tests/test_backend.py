@@ -315,6 +315,104 @@ class TestTallyParity:
             nb._SWEEP_BUDGET = original
         np.testing.assert_array_equal(got, want)
 
+    def test_3way_word_block_chunking(self, name, monkeypatch):
+        """Wide word planes (forcing the 3-way GEMM to chunk) stay exact."""
+        from repro.similarity.gemmtally import (
+            einsum_tallies_3way,
+            pack_alleles,
+        )
+
+        import repro.backend.numpy_backend as nb
+
+        rng = _rng(18)
+        data = rng.integers(0, 2, size=(6, 64 * 7 + 3))
+        packed = pack_alleles(data, n_states=2)
+        monkeypatch.setattr(nb, "_SWEEP_BUDGET", 64)  # one word per block
+        got = get_backend(name).popcount_tallies_3way(packed.words)
+        np.testing.assert_array_equal(got, einsum_tallies_3way(data))
+
+
+# ---------------------------------------------------------------------------
+# exactness edges of the fp32 GEMM tallies
+# ---------------------------------------------------------------------------
+
+
+def test_field_block_never_exceeds_fp32_exact_span(monkeypatch):
+    """No field block holds more than 2²⁴ fields, whatever the budget."""
+    import repro.backend.numpy_backend as nb
+
+    cap = (1 << 24) // 64
+    for budget in (1, 64, 1 << 24, 1 << 40, 1 << 62):
+        monkeypatch.setattr(nb, "_SWEEP_BUDGET", budget)
+        for rows in (0, 1, 2, 7, 512, 4096, 1 << 20):
+            words = nb.field_block_words(rows)
+            assert 1 <= words <= cap, (budget, rows, words)
+    monkeypatch.setattr(nb, "_SWEEP_BUDGET", 1 << 62)
+    assert nb.field_block_words(1) == cap
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestGemmTallyEdges:
+    #: not a multiple of 64: the last word carries padding bits
+    m = 64 * 6 + 17
+
+    def _extremes(self, n: int, n_states: int) -> np.ndarray:
+        data = _rng(19).integers(0, n_states, size=(n, self.m))
+        data[0, :] = n_states - 1      # all-ones in the top state
+        data[1, :] = n_states + 5      # entirely missing
+        return data
+
+    def test_2way_all_ones_and_all_missing(self, name, monkeypatch):
+        from repro.similarity.gemmtally import pack_alleles
+
+        import repro.backend.numpy_backend as nb
+
+        n, S = 5, 2
+        packed = pack_alleles(self._extremes(n, S), n_states=S)
+        monkeypatch.setattr(nb, "_SWEEP_BUDGET", 64 * n * S * 2)
+        assert -(-packed.n_words // nb.field_block_words(n * S)) >= 3
+        got = get_backend(name).popcount_tallies_2way(packed.words)
+        assert got[S - 1, S - 1, 0, 0] == self.m
+        assert (got[:, :, 1, :] == 0).all() and (got[:, :, :, 1] == 0).all()
+        np.testing.assert_array_equal(got,
+                                      _reference_tallies_2way(packed.words))
+
+    def test_3way_all_ones_and_all_missing(self, name, monkeypatch):
+        from repro.similarity.gemmtally import (
+            einsum_tallies_3way,
+            pack_alleles,
+        )
+
+        import repro.backend.numpy_backend as nb
+
+        n, S = 5, 2
+        data = self._extremes(n, S)
+        packed = pack_alleles(data, n_states=S)
+        monkeypatch.setattr(nb, "_SWEEP_BUDGET", 64 * n * n * 2)
+        assert -(-packed.n_words // nb.field_block_words(n * n)) >= 3
+        got = get_backend(name).popcount_tallies_3way(packed.words)
+        assert got[S - 1, S - 1, S - 1, 0, 0, 0] == self.m
+        assert (got[..., 1, :, :] == 0).all()
+        assert (got[..., 1, :] == 0).all() and (got[..., 1] == 0).all()
+        np.testing.assert_array_equal(got, einsum_tallies_3way(data))
+
+    def test_three_states_with_missing(self, name, monkeypatch):
+        from repro.similarity.gemmtally import (
+            einsum_tallies_3way,
+            pack_alleles,
+        )
+
+        import repro.backend.numpy_backend as nb
+
+        be = get_backend(name)
+        data = _rng(20).integers(0, 4, size=(7, self.m))  # 3 = missing
+        packed = pack_alleles(data, n_states=3)
+        monkeypatch.setattr(nb, "_SWEEP_BUDGET", 64 * 7 * 7 * 2)
+        np.testing.assert_array_equal(be.popcount_tallies_2way(packed.words),
+                                      _reference_tallies_2way(packed.words))
+        np.testing.assert_array_equal(be.popcount_tallies_3way(packed.words),
+                                      einsum_tallies_3way(data, n_states=3))
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -388,6 +486,65 @@ class TestForcesParity:
         got = get_backend(name).pairwise_forces(
             x, masses, G=1.0, rs=0.9, cutoff=4.5, box_size=6.0)
         assert np.abs(got.sum(axis=0)).max() < 1e-10
+
+
+class TestBlockedForceSweep:
+    """The numpy pair sweep across uneven row-block boundaries."""
+
+    n, rows = 37, 5  # blocks of 5 rows, the last one 2
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        import repro.backend.numpy_backend as nb
+
+        monkeypatch.setattr(nb, "_PAIR_BUDGET", self.rows * self.n)
+
+    def _particles(self, seed: int, box: float):
+        rng = _rng(seed)
+        return (rng.uniform(0.0, box, (self.n, 3)),
+                rng.uniform(0.5, 2.0, self.n))
+
+    def test_short_range_matches_naive_loop(self):
+        from repro.particles.pm import short_range_forces
+
+        box, rs = 4.0, 0.4
+        x, masses = self._particles(21, box)
+        got = short_range_forces(x, masses, box, rs=rs, backend="numpy")
+        want = short_range_forces(x, masses, box, rs=rs, vectorized=False)
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-9
+        assert np.abs(got.sum(axis=0)).max() <= 1e-10
+
+    def test_direct_matches_naive_loop(self):
+        from repro.particles.pm import direct_forces
+
+        x, masses = self._particles(22, 3.0)
+        got = direct_forces(x, masses, backend="numpy")
+        want = direct_forces(x, masses, vectorized=False)
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-9
+        assert np.abs(got.sum(axis=0)).max() <= 1e-10
+
+    def test_coincident_pair_across_block_boundary(self):
+        from repro.particles.pm import short_range_forces
+
+        box, rs = 10.0, 0.2  # cutoff 1.0
+        rng = _rng(23)
+        x = rng.uniform(0.0, 5.0, (self.n, 3))
+        masses = rng.uniform(0.5, 2.0, self.n)
+        i = self.rows - 1  # last row of block 0; i + 1 opens block 1
+        x[i] = x[i + 1] = (8.0, 8.0, 8.0)  # ≥2 from everyone else
+        got = short_range_forces(x, masses, box, rs=rs, backend="numpy")
+        assert np.isfinite(got).all()
+        assert np.array_equal(got[i:i + 2], np.zeros((2, 3)))
+        want = short_range_forces(x, masses, box, rs=rs, vectorized=False)
+        assert np.abs(got - want).max() / np.abs(want).max() <= 1e-9
+
+    def test_repeat_calls_bit_identical(self):
+        from repro.particles.pm import short_range_forces
+
+        x, masses = self._particles(24, 4.0)
+        first = short_range_forces(x, masses, 4.0, rs=0.4, backend="numpy")
+        again = short_range_forces(x, masses, 4.0, rs=0.4, backend="numpy")
+        assert np.array_equal(first, again)
 
 
 # ---------------------------------------------------------------------------
