@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.exasky import ExaskyCampaign
+from repro.apps.exasky import ExaskyCampaign, ExaskyConfig, campaign_step_cost
 from repro.core.report import render_series
 from repro.hardware.catalog import FRONTIER
 from repro.hardware.machine import MachineSpec
@@ -97,7 +97,7 @@ def _calibrate(nparticles: int) -> tuple[float, float, CheckpointCostModel]:
     the problem size.
     """
     probe = ExaskyCampaign(nparticles=nparticles, seed=0)
-    dt_step = float(probe.step_cost)
+    dt_step = campaign_step_cost(ExaskyConfig())
     nbytes = len(encode_snapshot(probe.snapshot()))
     delta = CHECKPOINT_STEP_FRACTION * dt_step
     cost_model = CheckpointCostModel(

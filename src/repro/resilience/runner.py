@@ -421,6 +421,21 @@ class ResilientRunner:
         #: step-time multiplier while running below the initial width
         self.throughput_factor = 1.0
         self._checkpoints: list[_StoredCheckpoint] = []
+        #: the last completed run's final checkpoint checksum
+        self._final_checksum: str | None = None
+
+    @property
+    def final_checksum(self) -> str:
+        """Checksum of the app's final state after :meth:`run`.
+
+        ``run`` always checkpoints at ``step == nsteps`` and nothing
+        touches the app after that, so the newest stored checkpoint *is*
+        the final state and its checksum needs no second encode.
+        """
+        if self._final_checksum is None:
+            raise ResilienceError(
+                "no final checkpoint: run() has not completed")
+        return self._final_checksum
 
     # -- checkpoint store ----------------------------------------------------
 
@@ -465,6 +480,7 @@ class ResilientRunner:
     def run(self, nsteps: int) -> ResilienceStats:
         if nsteps < 1:
             raise ValueError("campaign needs at least one step")
+        self._final_checksum = None
         stats = ResilienceStats()
         if self.comm is not None:
             stats.ranks_initial = stats.ranks_final = self.comm.machine_ranks
@@ -475,7 +491,9 @@ class ResilientRunner:
                                pid="resilience", tid="runner",
                                nsteps=int(nsteps), policy=self.policy.name)
         try:
-            return self._run_loop(nsteps, stats, tr)
+            self._run_loop(nsteps, stats, tr)
+            self._final_checksum = self._checkpoints[-1].checksum
+            return stats
         finally:
             if run_idx is not None:
                 tr.end(run_idx, ts=stats.wall_clock)

@@ -30,11 +30,13 @@ from repro.service.job import Job, JobError, JobTemplate
 
 def default_templates() -> tuple[JobTemplate, ...]:
     """The standard HACC-campaign size mix (small/medium/wide/hero)."""
-    from repro.apps.exasky import ExaskyCampaign, ExaskyConfig, step_time_per_gpu
-    from repro.hardware.catalog import FRONTIER
+    from repro.apps.exasky import (
+        ExaskyCampaign,
+        ExaskyConfig,
+        campaign_step_cost,
+    )
 
-    step_cost = step_time_per_gpu(FRONTIER.node.gpu, ExaskyConfig(),
-                                  wavefront64_tuned=True)
+    step_cost = campaign_step_cost(ExaskyConfig())
 
     def make(nparticles: int):
         def build(seed: int):

@@ -115,7 +115,10 @@ def execute_campaign(job: Job, machine: MachineSpec, *, seed: int,
     ``SeedSequence([seed, job_id, attempt])`` fault schedule, same
     runner configuration — only the recovery policy's spare source (and
     therefore timing, never bits) may differ.  Returns the runner stats
-    and the final-state snapshot checksum.
+    and the final-state snapshot checksum, ``result_checksum``: the
+    runner's :attr:`~repro.resilience.runner.ResilientRunner.final_checksum`,
+    i.e. the stored checksum of the checkpoint every run writes at its
+    last step, so the final state is not encoded a second time.
     """
     app = job.make_app()
     if tracer is not None and hasattr(app, "tracer"):
@@ -143,12 +146,14 @@ def execute_campaign(job: Job, machine: MachineSpec, *, seed: int,
         tracer=tracer,
     )
     stats = runner.run(job.nsteps)
-    return stats, snapshot_checksum(encode_snapshot(app.snapshot()))
+    return stats, runner.final_checksum
 
 
 def failure_free_checksum(job: Job) -> str:
     """The job's campaign stepped with no service, faults or runner —
-    the ground truth every service execution must match bit for bit."""
+    the ground truth every service execution must match bit for bit.
+    It encodes the final state itself, independent of the runner's
+    checkpoint store, because it is the oracle."""
     app = job.make_app()
     for _ in range(job.nsteps):
         app.step()

@@ -1002,3 +1002,61 @@ class TestSdcThroughRunner:
         app.T[2] = 1e12  # far outside any flame
         with pytest.raises(SdcDetected):
             app.validate_state()
+
+
+# -- the final checkpoint's checksum ---------------------------------------------
+
+
+def _independent_checksum(app):
+    return snapshot_checksum(encode_snapshot(app.snapshot()))
+
+
+class TestFinalChecksum:
+    """``run`` always checkpoints at its last step, so the runner's stored
+    checksum of that checkpoint must be the final state's own checksum."""
+
+    @pytest.mark.parametrize("policy", ["restart", "shrink", "spare"])
+    def test_matches_an_independent_encode_under_every_policy(self, policy):
+        from repro.resilience import SpareSwapPolicy
+
+        if policy == "spare":
+            policy = SpareSwapPolicy(spares=1, activation_cost=0.005)
+        app, stats, runner = _policy_campaign(policy)
+        assert stats.recoveries >= 1
+        assert runner.final_checksum == _independent_checksum(app)
+        assert runner.final_checksum == _independent_checksum(
+            _failure_free_reference())
+
+    def test_matches_after_an_undetected_sdc(self):
+        app = ExaskyCampaign(nparticles=64, seed=1)
+        inj = FaultInjector(rng=np.random.default_rng(0),
+                            mtbf={FaultKind.SDC: 0.03})
+        runner = ResilientRunner(
+            app, checkpoint_interval=4, injector=inj,
+            cost_model=CheckpointCostModel(restart_cost=0.02),
+            max_retries=50, backoff_base=0.0,
+        )
+        stats = runner.run(24)
+        assert stats.sdc_injected > stats.sdc_detected
+        assert runner.final_checksum == _independent_checksum(app)
+        # the corruption rode on into the final state
+        clean = ExaskyCampaign(nparticles=64, seed=1)
+        for _ in range(24):
+            clean.step()
+        assert runner.final_checksum != _independent_checksum(clean)
+
+    def test_raises_before_run(self):
+        runner = ResilientRunner(CountingApp(), checkpoint_interval=2)
+        with pytest.raises(ResilienceError, match="run\\(\\) has not completed"):
+            runner.final_checksum
+
+    def test_raises_after_a_failed_run(self):
+        app = GuardedApp()
+        inj = FaultInjector(rng=np.random.default_rng(9),
+                            mtbf={FaultKind.SDC: 0.01})
+        runner = ResilientRunner(app, checkpoint_interval=5, injector=inj,
+                                 max_retries=1, backoff_base=0.0)
+        with pytest.raises(ResilienceError):
+            runner.run(30)
+        with pytest.raises(ResilienceError, match="run\\(\\) has not completed"):
+            runner.final_checksum

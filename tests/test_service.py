@@ -316,6 +316,14 @@ class TestArrivals:
         b = OpenLoopArrivals(rate=3.0, tenants={"a": 1}, seed=0)
         assert b.offered_load() == pytest.approx(3 * a.offered_load())
 
+    def test_default_templates_estimate_the_apps_step_cost(self):
+        """The scheduler's estimate and the campaign's own step cost come
+        from one source, so they agree exactly."""
+        from repro.service import default_templates
+
+        for template in default_templates():
+            assert template.est_step_cost == template.make_app(0).step_cost
+
 
 # ---------------------------------------------------------------------------
 # the engine
