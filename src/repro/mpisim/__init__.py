@@ -1,4 +1,10 @@
-"""Simulated MPI: communicator with real data semantics + Hockney cost models."""
+"""Simulated MPI: one communicator with real data semantics + Hockney cost models.
+
+:class:`SimComm` models ``P`` machine ranks and executes the
+representatives of a :class:`RankPartition` — every rank when no
+partition is given.  ``ScaledComm`` is the same class under its older
+name.
+"""
 
 from repro.mpisim.comm import (
     CommError,

@@ -3,10 +3,10 @@
 At full-machine scale almost every rank is *structurally identical* to
 thousands of others: an interior rank of a 3-D block decomposition sees
 the same six-neighbour halo, the same collective fan-ins and the same
-per-step compute as every other interior rank.  The scaled execution
-mode (:mod:`repro.mpisim.scaled`) exploits that symmetry by executing a
-few **representative** ranks concretely and modelling the rest through
-their group's clock aggregates.
+per-step compute as every other interior rank.  A
+:class:`~repro.mpisim.comm.SimComm` built with a partition exploits that
+symmetry by executing a few **representative** ranks concretely and
+modelling the rest through their group's clock aggregates.
 
 This module supplies the assignment layer, shaped after nengo_mpi's
 ``Partitioner`` / ``verify_assignments`` pair: a partitioner produces a
@@ -33,7 +33,7 @@ audited, turned into codes and land on the same core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -234,6 +234,9 @@ class RankPartition:
         old live slot whose clock it carries: its own, or for a promoted
         member its proxy's.
         """
+        if self.modeled_count == 0 and self is all_live_partition(self.nranks):
+            # the all-live partition induces the all-live partition
+            return all_live_partition(int(members.size)), members
         ngroups = len(self.names)
         remap = np.full(self.nranks, -1, dtype=np.int64)
         remap[members] = np.arange(members.size, dtype=np.int64)
@@ -371,11 +374,14 @@ def partition_from_codes(codes: np.ndarray, names: Sequence[str], *,
          for s, e in zip(starts.tolist(), ends.tolist())])
 
 
+@lru_cache(maxsize=64)
 def all_live_partition(nranks: int) -> RankPartition:
-    """The degenerate partition: every rank is its own representative.
+    """The degenerate partition: every rank is its own representative,
+    every weight 1 (``R = P``).
 
-    A :class:`~repro.mpisim.scaled.ScaledComm` built on it reproduces
-    :class:`~repro.mpisim.comm.SimComm` bit for bit (``R = P``).
+    :class:`~repro.mpisim.comm.SimComm` uses it when given no partition.
+    Partitions are immutable, so one instance per size is shared: an
+    all-live communicator costs no partition build.
     """
     return RankPartition.from_codes(np.zeros(nranks, dtype=np.int64),
                                     ("all",), (np.arange(nranks),))

@@ -124,7 +124,7 @@ def scaled_fault_injector(rng: np.random.Generator, machine: MachineSpec, *,
 
     Targets draw uniformly over every machine rank (``machine_ranks``,
     defaulting to ``nodes x gpus_per_node`` — 72,592 on Frontier), not
-    just the exemplars a ScaledComm executes, and each enabled kind's
+    just the exemplars a partitioned communicator executes, and each enabled kind's
     MTBF is the *system* MTBF from :func:`system_mtbf` — node failures
     compose, so doubling the node count halves the time between events.
 

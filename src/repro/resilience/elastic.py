@@ -99,8 +99,8 @@ class ShrinkPlan:
     #: side of ``send_items``.  Equals ``new_nranks`` for a dense plan;
     #: a *weighted-group* plan (built with ``pair_of``) folds the
     #: machine-pair traffic onto ``R`` exemplar pairs, each cell holding
-    #: the worst per-pair count it stands for — the bound ScaledComm's
-    #: conservative ``alltoallv`` prices exactly.  ``migrated_items`` /
+    #: the worst per-pair count it stands for — the bound a partitioned
+    #: communicator's conservative ``alltoallv`` prices exactly.  ``migrated_items`` /
     #: ``reloaded_items`` stay machine-exact either way.
     pair_ranks: int = 0
 
@@ -130,7 +130,7 @@ def plan_shrink(nitems: int, survivors: Sequence[int], old_nranks: int,
 
     ``pair_of`` (length ``len(survivors)``) maps each *new* rank to the
     exemplar slot that stands for it on a representative-rank
-    communicator (:meth:`~repro.mpisim.scaled.ScaledComm.proxy_live_indices`
+    communicator (:meth:`~repro.mpisim.comm.SimComm.proxy_live_indices`
     of the shrunk comm).  When given, the dense
     ``new_nranks x new_nranks`` send matrix — 42 GB at 72,592 survivors
     — is never materialized: machine pairs fold onto exemplar pairs,
@@ -219,15 +219,9 @@ def shrink_and_redistribute(app: object, comm: SimComm
     spec = domain_of(app)
     if spec is None or spec.nitems == 0:
         return new_comm, None, 0.0
-    survivors = (getattr(new_comm, "parent_machine_ranks", None)
-                 or new_comm.parent_ranks
-                 or tuple(range(new_comm.machine_ranks)))
-    pair_of = None
-    if new_comm.machine_ranks != new_comm.nranks:
-        # representative-rank survivor comm: fold the machine-pair
-        # traffic onto the exemplar pairs the comm actually executes
-        pair_of = new_comm.proxy_live_indices()
-    plan = plan_shrink(spec.nitems, survivors, comm.machine_ranks,
-                       spec.bytes_per_item, pair_of=pair_of)
+    # fold the machine-pair traffic onto the pairs the survivor comm
+    # executes (the identity when every rank is live)
+    plan = plan_shrink(spec.nitems, new_comm.parent_ranks, comm.machine_ranks,
+                       spec.bytes_per_item, pair_of=new_comm.proxy_live_indices())
     dt = redistribute(new_comm, plan)
     return new_comm, plan, dt

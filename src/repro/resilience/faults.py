@@ -229,9 +229,9 @@ class FaultInjector:
             return
         if event.kind is FaultKind.RANK_FAILURE:
             if comm is not None:
-                # modulo the *machine* rank count: on a ScaledComm the
-                # target lands anywhere on the modelled machine (72,592
-                # ranks), not just the R exemplars; on a SimComm
+                # modulo the *machine* rank count: on a partitioned comm
+                # the target lands anywhere on the modelled machine
+                # (72,592 ranks), not just the R exemplars; all-live,
                 # machine_ranks == nranks and nothing changes
                 rank = event.target % comm.machine_ranks
                 comm.fail_rank(rank)
@@ -271,9 +271,9 @@ class FaultInjector:
               device: Device | None = None) -> None:
         """Undo fired damage: revive failed ranks, release OOM pressure."""
         if comm is not None:
-            # failed_ranks speaks machine numbering on every communicator
-            # (a ScaledComm reports dead modelled ranks too, which the
-            # live-index `failed` mask cannot)
+            # failed_ranks speaks machine numbering (it reports dead
+            # modelled ranks too, which the live-index `failed` mask
+            # cannot)
             for rank in comm.failed_ranks():
                 comm.restore_rank(rank)
         for dev, allocs in self._oom_reservations:

@@ -256,9 +256,9 @@ class ShrinkContinuePolicy(RecoveryPolicy):
             runner.injector.clear(device=runner.device)
         if (event is not None and event.kind is FaultKind.DEVICE_OOM
                 and not comm.failed_ranks()):
-            # machine numbering throughout: on a ScaledComm the OOM'd
-            # node can be any modelled rank, on a SimComm it's identical
-            # to the old index arithmetic
+            # machine numbering throughout: on a partitioned comm the
+            # OOM'd node can be any modelled rank; all-live it is the
+            # plain index arithmetic
             comm.fail_rank(event.target % comm.machine_ranks)
         if not comm.alive_ranks():
             raise ResilienceError("no surviving ranks to shrink onto")

@@ -44,7 +44,6 @@ import numpy as np
 from repro.hardware.machine import MachineSpec
 from repro.mpisim.comm import SimComm
 from repro.mpisim.partition import RankGroupPartitioner
-from repro.mpisim.scaled import ScaledComm
 from repro.observability.metrics import MetricsRegistry
 from repro.resilience.faults import FaultInjector, FaultKind
 from repro.resilience.runner import (
@@ -80,24 +79,23 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 # requeues re-enqueue, and both before new arrivals see the machine
 _COMPLETE, _REQUEUE, _ARRIVAL = 0, 1, 2
 
-#: jobs at or above this width run their campaign communicator in
-#: representative-rank mode (a few exemplars standing for every node)
-#: instead of materializing one SimComm rank per node — what lets
-#: fault-injected campaigns execute at 4,096-9,074 nodes.  Below it the
-#: all-live SimComm is cheap and exact.
+#: jobs at or above this width run their campaign communicator on an
+#: endpoints partition (a few exemplars standing for every node) instead
+#: of executing every node — what lets fault-injected campaigns execute
+#: at 4,096-9,074 nodes.  Below it the all-live partition is cheap and
+#: exact.
 SCALED_COMM_MIN_NODES = 256
 
 
 def _campaign_comm(nodes: int, fabric) -> SimComm:
     """The campaign communicator for a job of *nodes* nodes: all-live
-    below :data:`SCALED_COMM_MIN_NODES`, representative-rank above.
+    below :data:`SCALED_COMM_MIN_NODES`, an endpoints partition above.
     Fault targets, shrink survivors and rank accounting all speak
-    machine numbering on either, so the runner code path is identical.
+    machine numbering, so the runner code path is identical.
     """
-    if nodes < SCALED_COMM_MIN_NODES:
-        return SimComm(nodes, fabric)
-    partition = RankGroupPartitioner("endpoints").partition(nodes)
-    return ScaledComm(nodes, fabric, partition=partition)
+    partition = (None if nodes < SCALED_COMM_MIN_NODES
+                 else RankGroupPartitioner("endpoints").partition(nodes))
+    return SimComm(nodes, fabric, partition=partition)
 
 
 def execute_campaign(job: Job, machine: MachineSpec, *, seed: int,

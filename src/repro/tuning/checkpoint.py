@@ -4,7 +4,7 @@ The knob is the Young/Daly question: how many compute steps between
 checkpoints on each machine?  The *measured* objective is the overhead
 fraction a fault-injected :class:`~repro.apps.exasky.ExaskyCampaign`
 actually pays through the :class:`~repro.resilience.runner.ResilientRunner`
-on a representative-rank :class:`~repro.mpisim.scaled.ScaledComm` of the
+on a representative-rank :class:`~repro.mpisim.comm.SimComm` of the
 full machine — not the analytic formula, which enters only as a
 cross-check (the recorded ``w_star_steps`` and agreement factor).
 
@@ -109,7 +109,7 @@ def _mean_overhead(machine: MachineSpec, interval_steps: int,
                    compression: float,
                    cost_model: CheckpointCostModel) -> float:
     """Mean overhead fraction of the fidelity's seeded campaigns — the
-    Daly validation's own endpoints-ScaledComm campaign."""
+    Daly validation's own endpoints-partition campaign."""
     from repro.experiments.resilience_at_scale import _run_campaign
 
     return float(np.mean([

@@ -10,6 +10,7 @@ from repro.mpisim import (
     CommError,
     DecompositionError,
     PencilDecomposition,
+    RankGroupPartitioner,
     SimComm,
     SlabDecomposition,
     Topology,
@@ -535,3 +536,48 @@ class TestShrinkAgree:
             comm.allreduce([1.0] * 4, nbytes=8)
         sub = comm.shrink()
         sub.allreduce([1.0] * 3, nbytes=8)  # survivors carry on
+
+
+class TestDegradationSurvivesSubcomms:
+    """An open ``degrade_link`` window is a property of the fabric, so the
+    communicators ``shrink`` and ``split`` build keep pricing through it."""
+
+    @staticmethod
+    def _price(comm, nbytes=float(1 << 20)):
+        t0 = comm.elapsed
+        comm.allreduce([0.0] * comm.nranks, nbytes)
+        return comm.elapsed - t0
+
+    def _degraded(self, nranks):
+        """The allreduce price on a fresh comm under the same window."""
+        fresh = SimComm(nranks, SLINGSHOT_11)
+        fresh.degrade_link(10.0, 100.0)
+        return self._price(fresh)
+
+    def test_shrink_keeps_open_window(self):
+        comm = SimComm(8, SLINGSHOT_11)
+        healthy = self._price(SimComm(7, SLINGSHOT_11))
+        comm.degrade_link(10.0, 100.0)
+        comm.fail_rank(3)
+        sub = comm.shrink()
+        assert self._price(sub) == pytest.approx(self._degraded(7), rel=1e-9)
+        assert self._price(sub) > 5 * healthy
+        sub.advance_all(200.0)  # the window expires on the child's clock
+        assert self._price(sub) == pytest.approx(healthy, rel=1e-9)
+
+    def test_split_children_keep_open_window(self):
+        comm = SimComm(8, SLINGSHOT_11)
+        comm.degrade_link(10.0, 100.0)
+        for sub in comm.split(lambda r: r % 2).values():
+            assert self._price(sub) == pytest.approx(self._degraded(4),
+                                                     rel=1e-9)
+
+    def test_modelled_shrink_keeps_open_window(self):
+        part = RankGroupPartitioner("endpoints").partition(16)
+        comm = SimComm(16, SLINGSHOT_11, partition=part)
+        comm.degrade_link(10.0, 100.0)
+        comm.fail_rank(5)
+        sub = comm.shrink()
+        assert sub.nranks == 3 and sub.machine_ranks == 15
+        assert self._price(sub) == pytest.approx(self._degraded(15),
+                                                 rel=1e-9)

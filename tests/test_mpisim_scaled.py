@@ -1,4 +1,5 @@
-"""Tests for the representative-rank engine: partitioning + ScaledComm."""
+"""Tests for the representative-rank engine: partitioning + a SimComm
+over a partition (``ScaledComm`` is the same class)."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from repro.mpisim import (
     SimComm,
     Topology,
     all_live_partition,
-    alltoall_time,
     balanced_block_grid,
     partition_from_labels,
     verify_assignments,
@@ -251,18 +251,23 @@ class TestGridHelpers:
 
 
 def _drive(comm):
-    """A mixed campaign touching every major op, identical on any comm."""
+    """A mixed campaign touching every major op; returns the folded values."""
     n = comm.nranks
+    vals = [0.1 * (r + 1) for r in range(n)]
     comm.advance_all(1e-4)
-    comm.allreduce([1.0] * n, 64.0)
+    folded = [comm.allreduce(vals, 64.0)[0]]
     comm.bcast(3.0, 8.0)
-    comm.reduce([2.0] * n, 32.0)
+    folded.append(comm.reduce(vals, 32.0))
     comm.allgather([1] * n, 16.0)
-    comm.reduce_scatter([[1.0] * n for _ in range(n)], 256.0)
+    folded += comm.reduce_scatter(
+        [[v * (d + 1) for d in range(n)] for v in vals], 256.0)
+    folded.append(comm.allreduce(vals, 8.0, op=np.maximum)[0])
     comm.alltoall([[0] * n for _ in range(n)], 128.0)
     _, op = comm.ialltoall([[0] * n for _ in range(n)], 64.0)
     comm.advance_all(5e-5)
     op.wait()
+    comm.alltoallv([[0] * n for _ in range(n)],
+                   [[64.0 * (s + d) for d in range(n)] for s in range(n)])
     if n > 1:
         comm.sendrecv(0, 1, None, 512.0)
         comm.isendrecv(0, 1, 2048.0).wait()
@@ -270,21 +275,62 @@ def _drive(comm):
         lambda r: [(r + 1) % comm.machine_ranks,
                    (r - 1) % comm.machine_ranks], 1024.0)
     comm.barrier()
+    folded.append(comm.agree(vals, op=np.add)[0])
+    return folded
+
+
+#: ``_drive`` on the all-live two-class communicator this one replaced:
+#: (every clock, CommStats fields, folded values), floats as ``float.hex``
+PINNED_ALL_LIVE = {
+    (4, 1): (
+        ["0x1.9efa55de8e4e8p-13"] * 4,
+        (10, "0x1.5000000000000p+13", 11, "0x1.e200000000000p+12",
+         "0x1.adbea7523b2b0p-13"),
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x1.0000000000000p+1",
+         "0x1.8000000000001p+1", "0x1.0000000000000p+2",
+         "0x1.999999999999ap-2", "0x1.0000000000000p+0"]),
+    (8, 4): (
+        ["0x1.e5767b9557a8dp-13"] * 8,
+        (18, "0x1.2800000000000p+14", 11, "0x1.5880000000000p+15",
+         "0x1.825d281af34c4p-11"),
+        ["0x1.ccccccccccccep+1", "0x1.ccccccccccccep+1",
+         "0x1.ccccccccccccep+1", "0x1.ccccccccccccep+2",
+         "0x1.599999999999ap+3", "0x1.ccccccccccccep+3",
+         "0x1.2000000000000p+4", "0x1.599999999999ap+4",
+         "0x1.9333333333334p+4", "0x1.ccccccccccccep+4",
+         "0x1.999999999999ap-1", "0x1.ccccccccccccep+1"]),
+    (16, 8): (
+        ["0x1.38b82a0f20397p-12"] * 16,
+        (34, "0x1.1400000000000p+15", 11, "0x1.2620000000000p+18",
+         "0x1.68d3b9eb8908ep-9"),
+        ["0x1.b333333333334p+3", "0x1.b333333333334p+3",
+         "0x1.b333333333334p+3", "0x1.b333333333334p+4",
+         "0x1.4666666666666p+5", "0x1.b333333333334p+5",
+         "0x1.1000000000000p+6", "0x1.4666666666666p+6",
+         "0x1.7cccccccccccep+6", "0x1.b333333333334p+6",
+         "0x1.e99999999999ap+6", "0x1.1000000000000p+7",
+         "0x1.2b33333333333p+7", "0x1.4666666666666p+7",
+         "0x1.619999999999ap+7", "0x1.7cccccccccccep+7",
+         "0x1.9800000000000p+7", "0x1.b333333333334p+7",
+         "0x1.999999999999ap+0", "0x1.b333333333334p+3"]),
+}
 
 
 class TestScaledCommIdentity:
-    """R = P must reproduce SimComm bit for bit."""
+    """R = P must reproduce the pinned all-live values bit for bit."""
 
     @pytest.mark.parametrize("nranks,rpn", [(4, 1), (8, 4), (16, 8)])
     def test_bit_identity(self, nranks, rpn):
-        ref = SimComm(nranks, SLINGSHOT_11, ranks_per_node=rpn,
-                      device_buffers=True)
-        scl = ScaledComm(nranks, SLINGSHOT_11, ranks_per_node=rpn,
-                         device_buffers=True)
-        _drive(ref)
-        _drive(scl)
-        assert np.array_equal(ref.clocks, scl.clocks)
-        assert ref.stats == scl.stats
+        comm = SimComm(nranks, SLINGSHOT_11, ranks_per_node=rpn,
+                       device_buffers=True)
+        folded = _drive(comm)
+        clocks, stats, values = PINNED_ALL_LIVE[(nranks, rpn)]
+        assert [c.hex() for c in comm.clocks.tolist()] == clocks
+        s = comm.stats
+        assert (s.p2p_messages, s.p2p_bytes.hex(), s.collectives,
+                s.collective_bytes.hex(), s.total_comm_time.hex()) == stats
+        assert [float(v).hex() for v in folded] == values
 
     def test_default_partition_is_all_live(self):
         c = ScaledComm(6, SLINGSHOT_11)
@@ -369,12 +415,7 @@ class TestScaledCommModeled:
         assert scaled16.elapsed == 2.5
 
     def test_describe(self, scaled16):
-        assert scaled16.describe() == "ScaledComm(P=16, R=3, groups=3)"
-
-    def test_subgroup_collectives_rejected(self, scaled16):
-        with pytest.raises(CommError, match="all-live"):
-            scaled16._sync_collective(8.0, alltoall_time,
-                                      participants=[0, 1], name="x")
+        assert scaled16.describe() == "SimComm(P=16, R=3, groups=3)"
 
     def test_fail_rank_speaks_global_machine_ranks(self, scaled16):
         # rank 5 is modelled (reps are 0, 1, 15): a group-level failure
@@ -416,7 +457,7 @@ class TestScaledCommModeled:
         scaled16.fail_rank(5)
         sub = scaled16.shrink()
         assert sub.machine_ranks == 15
-        assert sub.parent_machine_ranks == tuple(
+        assert sub.parent_ranks == tuple(
             r for r in range(16) if r != 5)
         # dense renumbering preserved order: old 15 became new 14
         assert sub.representatives == (0, 1, 14)
@@ -439,7 +480,7 @@ class TestScaledCommModeled:
         subs = scaled16.split(lambda r: r % 2)
         assert sorted(subs) == [0, 1]
         assert subs[0].machine_ranks == 8 and subs[1].machine_ranks == 8
-        assert subs[0].parent_machine_ranks == tuple(range(0, 16, 2))
+        assert subs[0].parent_ranks == tuple(range(0, 16, 2))
         total = sum(s.machine_ranks for s in subs.values())
         assert total == scaled16.machine_ranks
 

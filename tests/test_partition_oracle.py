@@ -184,7 +184,7 @@ class TestInducedPartitions:
             comm.fail_rank(r)
         sub = comm.shrink()
         members = [r for r in range(nranks) if r not in set(dead)]
-        assert sub.parent_machine_ranks == tuple(members)
+        assert sub.parent_ranks == tuple(members)
         expect = induced_groups(groups, members)
         assert_matches(sub.partition, expect)
         assert sub.clocks.tolist() == expected_clocks(comm, groups, members)

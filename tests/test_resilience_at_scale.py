@@ -1,11 +1,12 @@
 """Machine-scale resilience: fault matrix, R=P differential, Daly sweep.
 
-The acceptance tests for lifting ScaledComm's all-live gate: every fault
-kind lands on both exemplar and modelled targets, fault campaigns on an
-R=P ScaledComm are bit-identical to SimComm under the same seed, and the
-measured optimal checkpoint interval at 4,096+ nodes agrees with
-Young/Daly within 2x.
+Every fault kind lands on both exemplar and modelled targets of a
+partitioned communicator, all-live fault campaigns reproduce pinned
+values bit for bit under the same seed, and the measured optimal
+checkpoint interval at 4,096+ nodes agrees with Young/Daly within 2x.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from repro.mpisim import (
     RankGroupPartitioner,
     ScaledComm,
     SimComm,
-    all_live_partition,
 )
 from repro.mpisim.decomposition import DecompositionError
 from repro.resilience import (
@@ -123,7 +123,7 @@ class TestScaledFaultMatrix:
         scaled16.restore_rank(5)  # never failed: a no-op, like SimComm
 
 
-# -- R=P differential: fault campaigns bit-identical to SimComm --------------
+# -- R=P oracle: fault campaigns bit-identical to the pinned values -----------
 
 
 def _fault_campaign(comm, *, policy, seed=7, nsteps=24):
@@ -145,26 +145,53 @@ def _fault_campaign(comm, *, policy, seed=7, nsteps=24):
     return app, stats, runner.comm
 
 
+#: the all-live campaign per policy on the two-class communicator this one
+#: replaced: (integer stats, float stats as ``float.hex``, sha256 of the
+#: final particle positions + velocities, final machine ranks, final
+#: elapsed).  The shrink row's wall_clock / lost_work_time /
+#: recovery_time / elapsed are the one exception: shrunk communicators
+#: now inherit open link-degradation windows, so collectives priced on
+#: them during a window cost what the degraded fabric charges (those
+#: four values were 0x1.2526e67586903p-1 / 0x1.cd02de1843cdap-4 /
+#: 0x1.8a780840c9132p-7 / 0x1.2526e67586903p-1 before).
+_STATE = "53fcb5111082325793bd4d3aad8cd1c99b1be4176b7ea00ae505f727eb0b6f93"
+PINNED_CAMPAIGNS = {
+    "restart": ((24, 10, 6, 0, 0, 8),
+                ("0x1.ebd61711a76afp-2", "0x1.bd66d73f2149dp-3",
+                 "0x1.c7a30ce5f8b95p-4", "0x1.0e574c4222e53p-3",
+                 "0x1.6dafc8f315f00p-8", "0x0.0p+0"),
+                _STATE, 8, "0x1.ebd61711a76afp-2"),
+    "shrink": ((24, 12, 6, 6, 0, 2),
+               ("0x1.2526e7945ad16p-1", "0x1.bd66d73f2149dp-3",
+                "0x1.cd02d2548f20ep-4", "0x1.8a78ae137ec8cp-7",
+                "0x1.9b5c3b13d4c18p-7", "0x1.aa00000000000p+11"),
+               _STATE, 2, "0x1.2526e7945ad16p-1"),
+    "spare": ((24, 3, 3, 0, 3, 8),
+              ("0x1.377bc86bf8cd5p-2", "0x1.bd66d73f2149dp-3",
+               "0x1.c4bdee2590f10p-6", "0x1.26ec09281cd4ap-5",
+               "0x1.28ef3a2a16318p-7", "0x0.0p+0"),
+              _STATE, 8, "0x1.377bc86bf8cd5p-2"),
+}
+
+
 class TestRankIdentityDifferential:
     @pytest.mark.parametrize("policy", ["restart", "shrink", "spare"])
     def test_bit_identical_to_simcomm(self, policy):
-        sim = SimComm(8, SLINGSHOT_11, ranks_per_node=4,
-                      device_buffers=True)
-        scaled = ScaledComm(8, SLINGSHOT_11, ranks_per_node=4,
-                            device_buffers=True,
-                            partition=all_live_partition(8))
-        app_a, stats_a, comm_a = _fault_campaign(sim, policy=policy)
-        app_b, stats_b, comm_b = _fault_campaign(scaled, policy=policy)
-        assert stats_a.recoveries > 0  # the campaign actually saw faults
-        assert np.array_equal(app_a.pos, app_b.pos)
-        assert np.array_equal(app_a.vel, app_b.vel)
-        for name in ("steps_completed", "steps_replayed", "recoveries",
-                     "shrinks", "spares_used", "ranks_final",
-                     "wall_clock", "useful_time", "lost_work_time",
-                     "recovery_time", "degraded_time", "migrated_bytes"):
-            assert getattr(stats_a, name) == getattr(stats_b, name), name
-        assert comm_a.machine_ranks == comm_b.machine_ranks
-        assert comm_a.elapsed == comm_b.elapsed
+        comm = SimComm(8, SLINGSHOT_11, ranks_per_node=4,
+                       device_buffers=True)
+        app, stats, final = _fault_campaign(comm, policy=policy)
+        assert stats.recoveries > 0  # the campaign actually saw faults
+        ints, floats, state, ranks, elapsed = PINNED_CAMPAIGNS[policy]
+        assert tuple(getattr(stats, name) for name in (
+            "steps_completed", "steps_replayed", "recoveries", "shrinks",
+            "spares_used", "ranks_final")) == ints
+        assert tuple(float(getattr(stats, name)).hex() for name in (
+            "wall_clock", "useful_time", "lost_work_time", "recovery_time",
+            "degraded_time", "migrated_bytes")) == floats
+        digest = hashlib.sha256(app.pos.tobytes() + app.vel.tobytes())
+        assert digest.hexdigest() == state
+        assert final.machine_ranks == ranks
+        assert final.elapsed.hex() == elapsed
 
 
 # -- weighted-group shrink plans ---------------------------------------------
@@ -184,7 +211,7 @@ class TestWeightedShrinkPlans:
         scaled16.fail_rank(5)
         sub = scaled16.shrink()
         pair_of = sub.proxy_live_indices()
-        plan = plan_shrink(4096, sub.parent_machine_ranks, 16,
+        plan = plan_shrink(4096, sub.parent_ranks, 16,
                            bytes_per_item=64.0, pair_of=pair_of)
         assert plan.new_nranks == 15  # machine-exact
         assert plan.pair_ranks == sub.nranks  # exemplar-folded matrix
@@ -195,7 +222,7 @@ class TestWeightedShrinkPlans:
     def test_plan_comm_mismatch_rejected(self, scaled16):
         scaled16.fail_rank(5)
         sub = scaled16.shrink()
-        dense = plan_shrink(4096, sub.parent_machine_ranks, 16)
+        dense = plan_shrink(4096, sub.parent_ranks, 16)
         with pytest.raises(DecompositionError, match="proxy_live_indices"):
             redistribute(sub, dense)  # dense 15x15 matrix, 3-exemplar comm
 
@@ -245,8 +272,7 @@ class TestServiceAtScale:
 
         small = _campaign_comm(SCALED_COMM_MIN_NODES - 1, SLINGSHOT_11)
         big = _campaign_comm(4096, SLINGSHOT_11)
-        assert not isinstance(small, ScaledComm)
-        assert isinstance(big, ScaledComm)
+        assert small.nranks == small.machine_ranks  # every node live
         assert big.machine_ranks == 4096
         assert big.nranks < 64  # exemplars only
 

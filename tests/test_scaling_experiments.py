@@ -50,6 +50,18 @@ class TestWorkloadPlumbing:
         assert w.n_tasks == 437_580  # 935 monomers + 436,645 dimer pairs
 
 
+#: all-live step times at 1, 2 and 8 nodes (steps=2) on the two-class
+#: communicator the one SimComm replaced, as ``float.hex``
+PINNED_LIVE_TIMES = {
+    "comet": ["0x1.95b8b8741d5fep+4", "0x1.95b8c62ff733ep+4",
+              "0x1.95b8e1a7aadc0p+4"],
+    "gamess": ["0x1.b68a4de734544p+12", "0x1.b68a4df01ef6dp+11",
+               "0x1.b6969ed1a7991p+9"],
+    "pele": ["0x1.786ad3e7efd9dp-1", "0x1.786b0cf8cd241p-1",
+             "0x1.786b7f1a87b85p-1"],
+}
+
+
 class TestDifferential:
     """Exemplar-vs-full at live-feasible sizes: the tentpole's contract."""
 
@@ -58,7 +70,7 @@ class TestDifferential:
         points = validate_exemplar_vs_full(WORKLOADS[app](),
                                            node_counts=(1, 2, 8), steps=2)
         check_validation(points)
-        assert all(p.bit_identical for p in points)
+        assert [p.live_time.hex() for p in points] == PINNED_LIVE_TIMES[app]
         assert all(p.rel_error <= 1e-9 for p in points)
 
     def test_check_raises_on_divergence(self):
@@ -73,7 +85,7 @@ class TestDifferential:
         points = validate_exemplar_vs_full(CometWeakScaling(),
                                            node_counts=(1,), steps=1)
         text = render_validation(points)
-        assert "Bit-id" in text and "comet" in text
+        assert "Rel err" in text and "comet" in text
 
 
 class TestCurves:
